@@ -89,6 +89,40 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    """Primality by Miller-Rabin over the primes up to 41 as bases, which
+    is deterministic for n < 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % a == 0 for a in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def iroot4(n: int) -> int:
+    """Largest r >= 0 with r^4 <= n, and -1 for negative n."""
+    if n < 0:
+        return -1
+    return isqrt(isqrt(n))
+
+
 def chi(n: int) -> int:
     """Real non-principal character mod 4: +1, -1, 0 for n = 1, 3, even (mod 4)."""
     if n % 2 == 0:

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ EXIT_VERIFY = 2
 EXIT_CAP = 3
 
 METHOD_CAPS = {"naive": 30, "oracle": 10**4, "torsor": 10**9}
+MIN_PRIME_CUTOFF = 100  # the Euler products of constants and zeta reject less
 
 
 class UsageError(Exception):
@@ -120,39 +122,56 @@ def parse_args(argv) -> RunConfig:
     cfg.out = ns.out
     cfg.threads = _threads_default(ns.threads)
     cfg.no_timestamp = ns.no_timestamp
-    if ns.command == "count":
+    if ns.command in ("count", "verify"):
         if ns.bmax < 1:
             raise UsageError("--bmax must be >= 1")
-        cfg.bmax, cfg.method = ns.bmax, ns.method
-    elif ns.command == "verify":
-        if ns.bmax < 1:
-            raise UsageError("--bmax must be >= 1")
-        cfg.bmax, cfg.suite = ns.bmax, ns.suite
-    elif ns.command == "constants":
-        cfg.prime_cutoff, cfg.quad_tol = ns.prime_cutoff, ns.quad_tol
+        cfg.bmax = ns.bmax
+    if ns.command in ("constants", "zeta", "decompose"):
+        if ns.prime_cutoff < MIN_PRIME_CUTOFF:
+            raise UsageError(f"--prime-cutoff must be >= {MIN_PRIME_CUTOFF}")
+        cfg.prime_cutoff = ns.prime_cutoff
+    if ns.command in ("constants", "decompose"):
+        if ns.beta_cutoff < 1:
+            raise UsageError("--beta-cutoff must be >= 1")
         cfg.beta_cutoff = ns.beta_cutoff
+    if ns.command in ("densities", "zeta"):
+        cfg.primes = _prime_list(ns.p)
+    if ns.command == "count":
+        cfg.method = ns.method
+    elif ns.command == "verify":
+        cfg.suite = ns.suite
+    elif ns.command == "constants":
+        cfg.quad_tol = ns.quad_tol
     elif ns.command == "densities":
-        try:
-            cfg.primes = [int(v) for v in ns.p.split(",") if v]
-        except ValueError as exc:
-            raise UsageError(f"bad prime list: {ns.p}") from exc
         if ns.rmax < 1:
             raise UsageError("--rmax must be >= 1")
         cfg.rmax, cfg.mode = ns.rmax, ns.mode
     elif ns.command == "zeta":
+        # the Euler factors, computed at every s, converge only for s > -1/4
+        if not (math.isfinite(ns.s) and ns.s > -0.25):
+            raise UsageError(f"--s must be finite and > -1/4, got {ns.s}")
         cfg.s_value = ns.s
-        try:
-            cfg.primes = [int(v) for v in ns.p.split(",") if v]
-        except ValueError as exc:
-            raise UsageError(f"bad prime list: {ns.p}") from exc
-        cfg.prime_cutoff = ns.prime_cutoff
     elif ns.command == "decompose":
         try:
             cfg.grid = sorted(int(v) for v in ns.grid.split(",") if v)
         except ValueError as exc:
             raise UsageError(f"bad grid: {ns.grid}") from exc
-        cfg.prime_cutoff, cfg.beta_cutoff = ns.prime_cutoff, ns.beta_cutoff
+        if cfg.grid and cfg.grid[0] < 1:
+            raise UsageError("--grid bounds must be >= 1")
     return cfg
+
+
+def _prime_list(text: str) -> list[int]:
+    from .arith import is_prime
+
+    try:
+        primes = [int(v) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise UsageError(f"bad prime list: {text}") from exc
+    for p in primes:
+        if not is_prime(p):
+            raise UsageError(f"--p takes primes, got {p}")
+    return primes
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +265,11 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, list[dict]]:
     rows = []
     ok = True
     if cfg.suite in ("bijection", "all"):
-        n_t = torsor.count_torsor(cfg.bmax, workers=cfg.threads)
-        n_o = surface.count_positive_oracle(min(cfg.bmax, surface.ORACLE_CAP))
-        eq = (cfg.bmax <= surface.ORACLE_CAP) and n_t == n_o
-        rows.append({"check": "count_equality", "B": cfg.bmax,
+        B = min(cfg.bmax, surface.ORACLE_CAP)
+        n_t = torsor.count_torsor(B, workers=cfg.threads)
+        n_o = surface.count_positive_oracle(B)
+        eq = n_t == n_o
+        rows.append({"check": "count_equality", "B": B,
                      "torsor": n_t, "oracle": n_o, "pass": bool(eq)})
         ok &= eq
         rt_ok = True

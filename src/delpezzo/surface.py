@@ -22,17 +22,12 @@ from typing import Iterator
 
 import numpy as np
 
+from .arith import iroot4
 from .errors import InvalidPointError, NotInDomainError, SizeCapError
 
 NAIVE_CAP = 30
 ORACLE_CAP = 10**4
 DEGENERATE_CAP = 10**8
-
-
-def _iroot4(n: int) -> int:
-    if n < 0:
-        return -1
-    return isqrt(isqrt(n))
 
 
 def eval_forms(x) -> tuple[int, int]:
@@ -178,7 +173,7 @@ def iter_positive_solutions(B: int) -> Iterator[tuple[int, int, int, int, int]]:
         for z1 in range(1, isqrt(B // z2) + 1):
             m = z1 * z1 * z2
             x1 = m
-            z0_cap = _iroot4((B * m - 1) // (z2 * z2))
+            z0_cap = iroot4((B * m - 1) // (z2 * z2))
             for z0 in range(1, z0_cap + 1):
                 if gcd(z0, z1) != 1:
                     continue
@@ -237,7 +232,7 @@ def count_degenerate(B: int) -> DegenerateCount:
         raise SizeCapError("B >= 1 required")
     if B > DEGENERATE_CAP:
         raise SizeCapError(f"count_degenerate is capped at B = {DEGENERATE_CAP}")
-    vectors = 2 + 4 * _coprime_pairs(isqrt(B)) + 4 * _coprime_pairs(_iroot4(B))
+    vectors = 2 + 4 * _coprime_pairs(isqrt(B)) + 4 * _coprime_pairs(iroot4(B))
     points = vectors // 2
     return DegenerateCount(
         B=B, vectors=vectors, points=points,

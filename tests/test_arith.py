@@ -31,6 +31,14 @@ class TestProfiles:
                 prod *= p**e
             assert prod == n
 
+    def test_is_prime(self):
+        for n in range(-2, 5000):
+            assert A.is_prime(n) == (n >= 2 and A.factorize(n) == {n: 1})
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2..37
+        assert not A.is_prime(3215031751)
+        assert not A.is_prime(318665857834031151167461)
+        assert A.is_prime(2**61 - 1) and A.is_prime(10**18 + 9)
+
     def test_squarefree_part(self):
         assert A.squarefree_part(72) == 2
         assert A.squarefree_part(8) == 2

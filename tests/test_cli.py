@@ -64,6 +64,32 @@ class TestExitCodes:
         proc = run_cli(["--help"])
         assert proc.returncode == 0 and "usage" in proc.stdout.lower()
 
+    @pytest.mark.parametrize("args", [
+        ["densities", "--p", "4", "--rmax", "1"],
+        ["densities", "--p", "0"],
+        ["constants", "--prime-cutoff", "50"],
+        ["constants", "--beta-cutoff", "0"],
+        ["zeta", "--prime-cutoff", "50"],
+        ["zeta", "--p", "2,9"],
+        ["zeta", "--s", "-1"],
+        ["decompose", "--prime-cutoff", "50"],
+        ["decompose", "--beta-cutoff", "0"],
+        ["decompose", "--grid", "0"],
+    ])
+    def test_domain_errors_are_usage_errors(self, args, capsys):
+        assert cli.main(args) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_verify_past_the_oracle_cap(self, monkeypatch, capsys):
+        # both counts are taken at the oracle's cap, lowered here to keep it quick
+        from delpezzo import surface
+
+        monkeypatch.setattr(surface, "ORACLE_CAP", 500)
+        assert cli.main(["verify", "--suite", "bijection", "--bmax", "20000",
+                         "--threads", "1", "--no-timestamp"]) == cli.EXIT_OK
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["B"] == 500 and row["torsor"] == row["oracle"] == 1005
+
     def test_verify_passes(self):
         assert run_cli(["verify", "--suite", "all", "--bmax", "200",
                         "--no-timestamp"]).returncode == 0

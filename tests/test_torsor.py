@@ -1,7 +1,11 @@
+from math import gcd, isqrt
+
+import numpy as np
 import pytest
 
 from delpezzo import surface as S
 from delpezzo import torsor as T
+from delpezzo.arith import sqrts_minus_one
 from delpezzo.errors import NotInDomainError, SizeCapError, TorsorValidationError
 
 
@@ -109,6 +113,18 @@ class TestCounting:
         assert b.y3_max(1, 1, 1, 1) == 9  # isqrt(100 - 1)
         assert T.torsor_bounds(100, 2, 2, 1, 1).within_height is False
 
+    @pytest.mark.parametrize("B, n", [(10**5, 479470), (10**6, 6513969)])
+    def test_golden_counts(self, B, n):
+        assert T.count_torsor(B) == n
+
+    def test_golden_count_parallel(self):
+        assert T.count_torsor(10**5, workers=2) == 479470
+
+    def test_enumeration_streams(self):
+        # the whole enumeration at 1e8 would be about 1.07e9 points
+        first = next(iter(T.iter_torsor_points(10**8)))
+        assert first.as_tuple() == (1, 1, 1, 1, 1, 1, 2)
+
     def test_parallel_partition_invariance(self):
         B = 10**4
         ref = T.count_torsor(B)
@@ -118,3 +134,51 @@ class TestCounting:
     def test_cap(self):
         with pytest.raises(SizeCapError):
             T.count_torsor(10**9 + 1)
+
+
+def scalar_points(B, v1, v2, y1, y2, y0s):
+    """The points (y0, y3) of the cell (v1, v2, y1, y2) with y0 in ``y0s``,
+    sorted; the reference for the kernel, in Python ints with a gcd per
+    candidate."""
+    m = v2 * y1 * y1
+    lim = B * m
+    roots = sqrts_minus_one(m)
+    assert all((r * r + 1) % m == 0 for r in roots)
+    out = []
+    for y0 in y0s:
+        w = y0 * y0 * y2
+        for rho in roots:
+            for y3 in range((rho * w - 1) % m + 1, isqrt(lim - w * w) + 1, m):
+                y4, rem = divmod(w * w + y3 * y3, m)
+                assert rem == 0
+                if gcd(y3, y1 * y2) == 1 and gcd(y4, v1 * v2 * y2) == 1:
+                    out.append((y0, y3))
+    return sorted(out)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("v2, y1, rows", [
+        (1, 1, 8),  # v1 = v2 = y1 = y2 = 1: the cell with the longest progressions
+        (1, 31613, None),  # the largest y1 with a root of -1 mod y1^2: lim ~ 10^18
+        (997, 1, 8),  # the largest squarefree v2 with a root of -1 mod v2
+    ])
+    def test_extreme_cells_at_cap(self, v2, y1, rows):
+        """At B = 10^9 the kernel's points equal the scalar reference's, on
+        every y0 row (rows=None) or on the first and last ``rows`` rows."""
+        B, v1, y2 = T.TORSOR_CAP, 1, 1
+        m = v2 * y1 * y1
+        y0s = [y0 for y0 in range(1, isqrt(isqrt(B * m)) + 1)
+               if (y0 * y0 * y2) ** 2 < B * m and gcd(y0, v1 * v2 * y1) == 1]
+        if rows is not None:
+            y0s = y0s[:rows] + y0s[-rows:]
+        got = []
+        for y0, y3, ok in T._cell_blocks(B, v1, v2, y1, y2, m, tuple(sqrts_minus_one(m))):
+            keep = ok & np.isin(y0, y0s)
+            got += zip(y0[keep].tolist(), y3[keep].tolist())
+        assert sorted(got) == scalar_points(B, v1, v2, y1, y2, y0s)
+
+    def test_isqrt_exact_near_squares(self):
+        k = np.array([1, 2, 10**9 - 1, 10**9], dtype=np.int64)
+        for d in (-1, 0, 1):
+            n = k * k + d
+            assert T._isqrt(n).tolist() == [isqrt(int(v)) for v in n]

@@ -24,24 +24,32 @@ from .errors import DelPezzoError, ToleranceError
 
 _SPF_LIMIT = 1 << 16
 _SPF = None
+_SPF_PRIMES = None  # the primes below _SPF_LIMIT, read off the SPF table
+# below this bound every prime <= isqrt(n) is in _SPF_PRIMES, so factorize
+# finds all of them with one vectorized remainder
+_TRIAL_LIMIT = _SPF_LIMIT * _SPF_LIMIT
 
 
 def _spf_table(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table up to ``limit`` (exclusive), grown on demand."""
-    global _SPF, _SPF_LIMIT
+    """Smallest-prime-factor table up to ``limit`` (exclusive), grown on demand;
+    ``_SPF_PRIMES`` is built with it."""
+    global _SPF, _SPF_LIMIT, _SPF_PRIMES
     if _SPF is None or limit > len(_SPF):
         n = max(limit, _SPF_LIMIT)
         spf = np.zeros(n, dtype=np.int64)
         spf[1] = 1
+        small = []
         for p in range(2, isqrt(n - 1) + 1):
             if spf[p] == 0:
                 spf[p * p:n:p][spf[p * p:n:p] == 0] = p
                 spf[p] = p
+                small.append(p)
         rest = np.nonzero(spf == 0)[0]
         spf[rest] = rest  # remaining entries are prime
         spf[0] = 0
         _SPF = spf
         _SPF_LIMIT = n
+        _SPF_PRIMES = np.concatenate((np.array(small, dtype=np.int64), rest[1:]))  # rest[0] = 0
     return _SPF
 
 
@@ -58,7 +66,7 @@ def primes_up_to(n: int) -> np.ndarray:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of ``n >= 1`` as ``{prime: exponent}``."""
+    """Prime factorization of ``n >= 1`` as ``{prime: exponent}``, primes ascending."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out: dict[int, int] = {}
@@ -72,7 +80,21 @@ def factorize(n: int) -> dict[int, int]:
                 e += 1
             out[p] = e
         return out
-    # trial division; fine for the sizes used here
+    if n < _TRIAL_LIMIT:
+        # one remainder over the sieve's primes <= isqrt(n); what is left
+        # after dividing them out has no factor <= sqrt(n), so it is 1 or prime
+        _spf_table(_SPF_LIMIT)
+        ps = _SPF_PRIMES[: np.searchsorted(_SPF_PRIMES, isqrt(n), "right")]
+        for p in ps[n % ps == 0].tolist():
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+        if n > 1:
+            out[n] = 1
+        return out
+    # trial division by 6k +- 1 beyond the sieve's reach
     for p in (2, 3):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
@@ -513,7 +535,9 @@ def main_term_partial_sum(bound: int) -> float:
 # quadrature.  For large C the oscillatory middle range is reduced to
 # endpoint terms by repeated integration by parts against periodic Bernoulli
 # polynomials (the integrand's unit-period mean structure), leaving O(1) work
-# per evaluation instead of O(C).
+# per evaluation instead of O(C).  Below the crossover the direct path
+# evaluates the O(C) pieces between the kinks of many C at once, in groups of
+# bounded size (see _DINT_GROUP).
 
 _ZETA2 = math.pi * math.pi / 6
 _H2_N = 8192
@@ -602,26 +626,65 @@ def _gl_sum(f, a, b):
     return half * float(np.dot(_GL_W, f(nodes)))
 
 
-def _dint_direct(C: int) -> float:
-    """Direct evaluation, O(C) pieces: valid for any C, used below the crossover.
+# The direct path lays the pieces of many C out as one (pieces, 20) array of
+# quadrature nodes.  Whole C are packed into groups of at most _DINT_GROUP
+# pieces (a C with more pieces forms a group of its own); each group is one
+# pass over the integrand, summed per C with np.add.reduceat.  The group size
+# bounds memory: a pass keeps about a dozen temporaries of 20 * 2^9 floats,
+# about 1.3 MB at its peak, where a single pass over every C <= 256 (33k
+# pieces) takes about 80 MB.  Groups of 2^7 to 2^10 pieces take the same time
+# per C.  A value does not depend on its group: the per-piece sums are row
+# sums, which numpy evaluates the same way in any array.
+_DINT_GROUP = 1 << 9
+
+
+def _dint_direct_group(C: np.ndarray) -> np.ndarray:
+    """dint for one group of C by the direct path; see _dint_direct_batch."""
+    n = np.maximum(C, 2)  # pieces per C: the head pieces, then the tail
+    starts = np.cumsum(n) - n
+    k = np.repeat(np.arange(len(C)), n)  # the C each piece belongs to
+    j = np.arange(len(k)) - starts[k]  # index of the piece within its C
+    Ck = C[k]
+    tail = j == n[k] - 1
+    xs = np.where(C == 1, 0.6, (C - 1) / C)[k]
+    a = np.where(tail, 0.0, j / Ck)
+    b = np.where(tail, np.sqrt(1 - xs**4), np.minimum((j + 1) / Ck, xs))
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
+    Cf = Ck[:, None].astype(np.float64)
+    arg = Cf * x
+    arg[tail] = Cf[tail] * (1 - x[tail] * x[tail]) ** 0.25
+    weight = 4 * x**3 / np.sqrt(1 - x**4)
+    weight[tail] = 2.0
+    piece = half * (_I_inner(arg) * weight * _GL_W).sum(axis=1)
+    return np.add.reduceat(piece, starts)
+
+
+def _dint_direct_batch(Cs: np.ndarray) -> np.ndarray:
+    """Direct evaluation for an array of C, O(C) pieces each: valid for any C,
+    used below the crossover.
 
     x-space form: dint = int_0^1 I(Cx) 4x^3 (1-x^4)^(-1/2) dx with kinks at
-    j/C; the last piece is regularized by x = (1-w^2)^(1/4).
+    j/C.  The head pieces [j/C, (j+1)/C] run up to the split xs = (C-1)/C
+    (at C = 1, which has no kink, a single head piece [0, 0.6]); the last
+    piece [xs, 1] is regularized by x = (1-w^2)^(1/4), w in [0, sqrt(1-xs^4)].
+    Every piece is 20-point Gauss-Legendre.
     """
-    if C == 1:
-        xs = 0.6
-        head = _gl_sum(lambda x: _I_inner(x) * 4 * x**3 / np.sqrt(1 - x**4), 0.0, xs)
-        w1 = math.sqrt(1 - xs**4)
-        tail = 2 * _gl_sum(lambda w: _I_inner((1 - w * w) ** 0.25), 0.0, w1)
-        return head + tail
-    total = 0.0
-    for j in range(C - 1):
-        total += _gl_sum(
-            lambda x: _I_inner(C * x) * 4 * x**3 / np.sqrt(1 - x**4), j / C, (j + 1) / C
-        )
-    w1 = math.sqrt(1 - ((C - 1) / C) ** 4)
-    total += 2 * _gl_sum(lambda w: _I_inner(C * (1 - w * w) ** 0.25), 0.0, w1)
-    return total
+    Cs = np.asarray(Cs, dtype=np.int64)
+    out = np.empty(len(Cs))
+    ends = np.cumsum(np.maximum(Cs, 2))
+    lo = 0
+    while lo < len(Cs):
+        done = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _DINT_GROUP, "right")))
+        out[lo:hi] = _dint_direct_group(Cs[lo:hi])
+        lo = hi
+    return out
+
+
+def _dint_direct(C: int) -> float:
+    """dint(C) by the direct path alone (the grouped pass on one C)."""
+    return float(_dint_direct_batch(np.array([C]))[0])
 
 
 _EM_EDGE = 16  # integer margin kept away from both ends in the endpoint expansion
@@ -740,17 +803,16 @@ _DINT_CACHE: dict[int, float] = {}
 
 
 def warm_dint_cache(values) -> None:
-    """Vectorized pre-computation of dint for many C at once."""
+    """Pre-compute dint for many C at once: every C up to the crossover in
+    grouped direct passes (at most _DINT_GROUP pieces per pass, so memory
+    stays bounded however many C are asked for), every larger C in one
+    endpoint-expansion batch."""
     missing = sorted({int(C) for C in values if int(C) not in _DINT_CACHE})
     small = [C for C in missing if C <= _DINT_CROSSOVER]
     large = [C for C in missing if C > _DINT_CROSSOVER]
-    for C in small:
-        _DINT_CACHE[C] = _dint_direct(C)
-    if large:
-        arr = np.array(large, dtype=np.int64)
-        out = _dint_em_batch(arr)
-        for C, v in zip(large, out):
-            _DINT_CACHE[int(C)] = float(v)
+    for Cs, batch in ((small, _dint_direct_batch), (large, _dint_em_batch)):
+        if Cs:
+            _DINT_CACHE.update(zip(Cs, batch(np.array(Cs, dtype=np.int64)).tolist()))
 
 
 def fractional_part_double_integral(C: int) -> float:
@@ -788,13 +850,13 @@ def linear_term_density(v1: int, v2: int, y1: int, tol: float = 1e-6) -> float:
     return val
 
 
-def linear_term_density_with_error(v1: int, v2: int, y1: int) -> tuple[float, float]:
-    if min(v1, v2, y1) < 1:
-        raise ValueError("arguments must be positive")
+def _linear_term_prefactor(v1: int, v2: int, y1: int) -> tuple[float, list[int]]:
+    """The factor of linear_term_density before its Mobius-dint sum, and the
+    sorted primes of m = v1*v2*y1; (0.0, []) when eta(v2*y1^2) = 0, and
+    nonzero otherwise."""
     eta = sqrt_minus_one_count_of_product(((v2, 1), (y1, 2)))
     if eta == 0:
-        return 0.0, 0.0
-    m = v1 * v2 * y1
+        return 0.0, []
     primes_v1v2 = {p for n in (v1, v2) for p, _ in _factor_pairs(n)}
     primes_m = primes_v1v2 | {p for p, _ in _factor_pairs(y1)}
     pref = -(3 / math.pi**2) * eta
@@ -802,20 +864,36 @@ def linear_term_density_with_error(v1: int, v2: int, y1: int) -> tuple[float, fl
         pref *= 1 - chi(p) / p
     for p in primes_m:
         pref *= p / (p + 1)
+    return pref, sorted(primes_m)
+
+
+def _mobius_dint_sum(m: int, primes: list[int]) -> float:
+    """S(m) = sum over squarefree k0 | m of mu(k0) * dint(m/k0), given the
+    sorted primes of m; it depends on m alone."""
     total = 0.0
-    err = 0.0
-    for k0, mu in _squarefree_divisors_of_primes(sorted(primes_m)):
-        c = m // k0
-        total += mu * fractional_part_double_integral(c)
-        err += _dint_error_bound(c)
-    return pref * total, abs(pref) * err
+    for k0, mu in _squarefree_divisors_of_primes(primes):
+        total += mu * fractional_part_double_integral(m // k0)
+    return total
+
+
+def linear_term_density_with_error(v1: int, v2: int, y1: int) -> tuple[float, float]:
+    if min(v1, v2, y1) < 1:
+        raise ValueError("arguments must be positive")
+    pref, primes = _linear_term_prefactor(v1, v2, y1)
+    if pref == 0.0:
+        return 0.0, 0.0
+    m = v1 * v2 * y1
+    err = sum(_dint_error_bound(m // k0) for k0, _ in _squarefree_divisors_of_primes(primes))
+    return pref * _mobius_dint_sum(m, primes), abs(pref) * err
 
 
 def linear_term_constant(cutoff: int) -> tuple[float, float]:
     """Partial sum of the secondary linear-term constant with a crude tail bound.
 
     Sums |mu(v2)| * linear_term_density(v1, v2, y1) / (v1 v2 y1)^2 over
-    v1, v2, y1 <= cutoff.  The tail estimate uses the termwise bound
+    v1, v2, y1 <= cutoff.  The Mobius-dint sum of each term depends only on
+    m = v1*v2*y1 and is computed once per distinct m.  The tail estimate uses
+    the termwise bound
     |density| <= (6/pi^2) * 2^omega(v2*y1) * 2^omega(v1*v2*y1)
     (eta and the divisor sum bounded crudely, each dint factor by 2), summed
     outside the box via sum_{n>V} d(n)/n^2 <= (ln V + 3)/V and
@@ -830,19 +908,20 @@ def linear_term_constant(cutoff: int) -> tuple[float, float]:
         for y1 in range(1, cutoff + 1)
         if sqrt_minus_one_count(v2 * y1 * y1) > 0
     ]
-    needed = set()
-    for v2, y1 in pairs:
-        for v1 in range(1, cutoff + 1):
-            m = v1 * v2 * y1
-            primes = {p for n in (v1, v2, y1) for p, _ in _factor_pairs(n)}
-            for k0, _ in _squarefree_divisors_of_primes(sorted(primes)):
-                needed.add(m // k0)
-    warm_dint_cache(needed)
+    # a prime p | m divides v1, v2 or y1, and dividing that factor by p
+    # leaves a term of the box, so the moduli are closed under m -> m/k0:
+    # they are exactly the arguments of dint that the sum needs
+    warm_dint_cache({v1 * v2 * y1 for v2, y1 in pairs for v1 in range(1, cutoff + 1)})
+    sums: dict[int, float] = {}  # S(m), one float per modulus
     total = 0.0
     for v2, y1 in pairs:
         for v1 in range(1, cutoff + 1):
-            d, _ = linear_term_density_with_error(v1, v2, y1)
-            total += d / (v1 * v1 * v2 * v2 * y1 * y1)
+            pref, primes = _linear_term_prefactor(v1, v2, y1)
+            m = v1 * v2 * y1
+            s = sums.get(m)
+            if s is None:
+                s = sums[m] = _mobius_dint_sum(m, primes)
+            total += pref * s / (v1 * v1 * v2 * v2 * y1 * y1)
     K4 = 5.1
     tail = (18 / math.pi**2) * K4 * K4 * (math.log(cutoff) + 3) / cutoff
     return total, tail

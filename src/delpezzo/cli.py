@@ -112,7 +112,6 @@ def parse_args(argv) -> RunConfig:
 
     p = sub.add_parser("decompose", help="exact decomposition diagnostic over a grid")
     p.add_argument("--grid", default="1000,10000,100000")
-    p.add_argument("--prime-cutoff", type=int, default=10**5)
     p.add_argument("--beta-cutoff", type=int, default=100)
     common(p)
 
@@ -126,7 +125,7 @@ def parse_args(argv) -> RunConfig:
         if ns.bmax < 1:
             raise UsageError("--bmax must be >= 1")
         cfg.bmax = ns.bmax
-    if ns.command in ("constants", "zeta", "decompose"):
+    if ns.command in ("constants", "zeta"):
         if ns.prime_cutoff < MIN_PRIME_CUTOFF:
             raise UsageError(f"--prime-cutoff must be >= {MIN_PRIME_CUTOFF}")
         cfg.prime_cutoff = ns.prime_cutoff
@@ -362,10 +361,7 @@ def _cmd_zeta(cfg: RunConfig) -> tuple[int, list[dict]]:
 def _cmd_decompose(cfg: RunConfig) -> tuple[int, list[dict]]:
     from .zeta import count_decomposition
 
-    rows = count_decomposition(
-        cfg.grid, workers=cfg.threads,
-        prime_cutoff=cfg.prime_cutoff, beta_cutoff=cfg.beta_cutoff,
-    )
+    rows = count_decomposition(cfg.grid, workers=cfg.threads, beta_cutoff=cfg.beta_cutoff)
     return EXIT_OK, rows
 
 

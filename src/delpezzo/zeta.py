@@ -240,7 +240,6 @@ def leading_factor_at_one(
 def count_decomposition(
     grid,
     workers: Optional[int] = None,
-    prime_cutoff: int = 10**5,
     beta_cutoff: int = 100,
     quad_tol: float = 1e-12,
 ) -> list[dict]:

@@ -14,6 +14,19 @@ def brute_eta(q):
     return int(np.count_nonzero((r * r + 1) % q == 0))
 
 
+def trial_division(n):
+    """{prime: exponent} of n by trial division; the reference for factorize."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 class TestProfiles:
     def test_examples(self):
         p12 = A.profile(12)
@@ -38,6 +51,24 @@ class TestProfiles:
         assert not A.is_prime(3215031751)
         assert not A.is_prime(318665857834031151167461)
         assert A.is_prime(2**61 - 1) and A.is_prime(10**18 + 9)
+
+    @pytest.mark.parametrize("n", [
+        2**16, 65521 * 65519, 65521**2, 2**32 - 5, 2**32 - 1,  # 2^32-5: the largest prime
+        2**32, 2**32 + 15, 3 * (2**32 - 5), 2**40 + 1,  # past the vectorized range
+    ])
+    def test_factorize_edges(self, n):
+        assert A.factorize(n) == trial_division(n)
+
+    def test_factorize_above_the_sieve(self, rng):
+        # a product of ascending primes equal to n is its factorization
+        ns = list(range(2**16 - 10, 2**16 + 20000))
+        ns += [rng.randrange(2**16, 2**32) for _ in range(300)]
+        for n in ns:
+            fac = A.factorize(n)
+            assert list(fac) == sorted(fac) and all(A.is_prime(p) for p in fac)
+            assert math.prod(p**e for p, e in fac.items()) == n
+        for n in ns[-300:]:
+            assert A.factorize(n) == trial_division(n)
 
     def test_squarefree_part(self):
         assert A.squarefree_part(72) == 2
@@ -183,6 +214,37 @@ class TestDensityWeights:
         assert abs(A.main_term_partial_sum(200) - direct) < 1e-10
 
 
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+
+
+def scalar_dint_direct(C):
+    """dint(C) by the direct path one Gauss-Legendre piece at a time: the
+    reference for the grouped pass."""
+    def gl(f, a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return half * float(np.dot(_GL_W, f(mid + half * _GL_X)))
+
+    def head(x):
+        return A._I_inner(C * x) * 4 * x**3 / np.sqrt(1 - x**4)
+
+    pieces = [(0.0, 0.6)] if C == 1 else [(j / C, (j + 1) / C) for j in range(C - 1)]
+    xs = pieces[-1][1]
+    total = 0.0
+    for a, b in pieces:
+        total += gl(head, a, b)
+    w1 = math.sqrt(1 - xs**4)
+    return total + 2 * gl(lambda w: A._I_inner(C * (1 - w * w) ** 0.25), 0.0, w1)
+
+
+def oracle_inner(a, mp):
+    """I(A) = 2 A^2 F(A) in mpmath, with the tail of F from the Hurwitz zeta:
+    F(A) = int_A^(M+1) (s - M) s^-3 ds + 1/(2(M+1)) - zeta(2, M+2)/2, M = floor(A)."""
+    a = mp.mpf(a)
+    M = mp.floor(a)
+    head = (1 / a - 1 / (M + 1)) - M / 2 * (1 / a**2 - 1 / (M + 1) ** 2)
+    return 2 * a * a * (head + 1 / (2 * (M + 1)) - mp.zeta(2, M + 2) / 2)
+
+
 class TestDoubleIntegral:
     def test_inner_integral_against_brute(self):
         # the Riemann oracle is the weak side here: the integrand's jumps
@@ -191,6 +253,31 @@ class TestDoubleIntegral:
         for a in (0.3, 1.7, 9.4):
             brute = float(np.mean(np.mod(a / np.sqrt(v), 1.0)))
             assert abs(A._I_inner(np.array([a]))[0] - brute) < 5e-5
+
+    def test_inner_integral_against_mpmath(self):
+        # the range the direct path evaluates: A = C x with C <= 256, x <= 1
+        mp = pytest.importorskip("mpmath")
+        A_values = [1e-6, 0.01, 0.3, 0.999, 1.0, 1.0 + 2**-40, 1.5, 2.0, 9.4]
+        A_values += [k + d for k in range(250, 257) for d in (-2**-30, 0.0, 0.5)]
+        A_values += np.linspace(0.0, 256.0, 1001)[1:].tolist()
+        got = A._I_inner(np.array(A_values))
+        with mp.workdps(40):
+            for a, v in zip(A_values, got):
+                assert abs(v - float(oracle_inner(a, mp))) < 1e-10, a
+
+    def test_grouped_direct_matches_scalar(self):
+        Cs = np.arange(1, A._DINT_CROSSOVER + 1)
+        grouped = A._dint_direct_batch(Cs)
+        for C, v in zip(Cs.tolist(), grouped):
+            assert abs(v - scalar_dint_direct(C)) < 1e-14, C
+
+    def test_grouping_leaves_values_unchanged(self):
+        # every C alone against the same C inside many groups, and a C with
+        # more pieces than a group on its own
+        Cs = list(range(1, A._DINT_CROSSOVER + 1)) + [2 * A._DINT_GROUP]
+        alone = [A._dint_direct(C) for C in Cs]
+        assert A._dint_direct_batch(np.array(Cs)).tolist() == alone
+        assert A._dint_direct_batch(np.array(Cs[::-1])).tolist() == alone[::-1]
 
     def test_analytic_value_at_one(self):
         c = math.gamma(1.25) * math.gamma(0.5) / (2 * math.gamma(1.75))
@@ -222,6 +309,28 @@ class TestSecondaryDensity:
         v, tail = A.linear_term_constant(1)
         assert abs(v - A.linear_term_density(1, 1, 1)) < 1e-12
         assert tail > 0
+
+    @pytest.mark.parametrize("cutoff, beta", [
+        (1, -0.27728173652016697),
+        (20, -0.2885320098259146),
+        (40, -0.28861933526529954),
+        (100, -0.28871324218933553),
+    ])
+    def test_constant_pinned(self, cutoff, beta):
+        assert abs(A.linear_term_constant(cutoff)[0] - beta) <= 1e-12 * abs(beta)
+
+    def test_constant_is_the_sum_of_densities(self):
+        V = 12
+        terms = [
+            A.linear_term_density(v1, v2, y1) / (v1 * v1 * v2 * v2 * y1 * y1)
+            for v2 in range(1, V + 1) if A.is_squarefree(v2)
+            for y1 in range(1, V + 1)
+            for v1 in range(1, V + 1)
+        ]
+        total = 0.0
+        for t in terms:  # in order, as the constant sums them
+            total += t
+        assert A.linear_term_constant(V)[0] == total
 
     def test_constant_consistency(self):
         b20, tail20 = A.linear_term_constant(20)

@@ -72,7 +72,7 @@ class TestExitCodes:
         ["zeta", "--prime-cutoff", "50"],
         ["zeta", "--p", "2,9"],
         ["zeta", "--s", "-1"],
-        ["decompose", "--prime-cutoff", "50"],
+        ["decompose", "--prime-cutoff", "1000"],  # not an option of decompose
         ["decompose", "--beta-cutoff", "0"],
         ["decompose", "--grid", "0"],
     ])

@@ -17,4 +17,4 @@ __version__ = "0.1.0"
 from . import arith, constants, errors, surface, torsor, zeta  # noqa: E402,F401
 from .constants import constant_bundle  # noqa: E402,F401
 from .surface import canonicalize, count_naive, count_positive_oracle  # noqa: E402,F401
-from .torsor import count_torsor, enumerate_torsor, from_surface, to_surface  # noqa: E402,F401
+from .torsor import count_torsor, from_surface, iter_torsor_points, to_surface  # noqa: E402,F401

@@ -497,33 +497,6 @@ def main_term_coefficient(n: int) -> float:
     return total
 
 
-def main_term_partial_sum(bound: int) -> float:
-    """sum of Delta(n) for n <= bound, enumerated over the constraint region."""
-    total = 0.0
-    v1 = 1
-    while v1 ** 4 <= bound:
-        b1 = bound // v1 ** 4
-        v2 = 1
-        while v2 ** 3 <= b1:
-            if is_squarefree(v2):
-                b2 = b1 // v2 ** 3
-                y1 = 1
-                while y1 * y1 <= b2:
-                    if sqrt_minus_one_count(v2 * y1 * y1):
-                        y2max = isqrt(b2 // (y1 * y1))
-                        scale = v2 ** 0.25 * math.sqrt(y1)
-                        for y2 in range(1, y2max + 1):
-                            if gcd(y2, v2 * y1) != 1:
-                                continue
-                            w = cell_density(v1, v2, y1, y2)
-                            if w:
-                                total += float(w) / (scale * math.sqrt(y2))
-                    y1 += 1
-            v2 += 1
-        v1 += 1
-    return total
-
-
 # ---------------------------------------------------------------------------
 # the double fractional-part integral
 #
@@ -540,7 +513,10 @@ def main_term_partial_sum(bound: int) -> float:
 # bounded size (see _DINT_GROUP).
 
 _ZETA2 = math.pi * math.pi / 6
-_H2_N = 8192
+# Partial sums H2[M] = sum_{n <= M} 1/n^2 for M < _H2_N.  The direct path
+# reads M <= 257 (A = C x < 257); beyond that zeta(2) - H2[M] cancels (an
+# error of about 1e-7 in I(A) at A = 4000), so the tail takes the series.
+_H2_N = 258
 _H2 = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, _H2_N) ** 2)))
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
@@ -549,7 +525,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 def _zeta2_tail(M):
     """sum_{n > M} 1/n^2 for integer array M >= 1 (vectorized)."""
     M = np.asarray(M, dtype=np.float64)
-    small = M < _H2_N - 1
+    small = M < _H2_N
     out = np.empty_like(M)
     idx = M[small].astype(np.int64)
     out[small] = _ZETA2 - _H2[idx]

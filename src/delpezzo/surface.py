@@ -27,7 +27,7 @@ from .errors import InvalidPointError, NotInDomainError, SizeCapError
 
 NAIVE_CAP = 30
 ORACLE_CAP = 10**4
-DEGENERATE_CAP = 10**8
+DEGENERATE_CAP = 10**9
 
 
 def eval_forms(x) -> tuple[int, int]:

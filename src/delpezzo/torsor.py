@@ -13,7 +13,8 @@ v1^4 v2^3 y1^2 y2^2 <= B and y0^4 y2^2 + y3^2 <= B v2 y1^2, which the counter
 enumerates directly.  The map and its inverse are implemented exactly.
 
 The counter walks the cells (v1, v2, y1, y2) in the order (v1, v2, y1, y2);
-counting, its parallel split and enumeration share that one walk.  In a
+counting, its parallel split, enumeration and the partial sum of the
+main-term coefficients Delta(n) share that one walk.  In a
 cell, with m = v2 y1^2 and w = y0^2 y2, the equation reads
 w^2 + y3^2 = m y4, so y3 = rho w (mod m) for a square root rho of -1
 modulo m: for each y0 and rho the y3 form one arithmetic progression of
@@ -25,14 +26,16 @@ conditions by lookup in masks over the radicals rad(y2) and rad(v1 v2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .arith import (
-    factorize, iroot4, is_squarefree, sqrt_minus_one_count, sqrts_minus_one, squarefree_part,
+    cell_density, factorize, iroot4, is_squarefree, sqrt_minus_one_count, sqrts_minus_one,
+    squarefree_part,
 )
 from .errors import NotInDomainError, SizeCapError, TorsorValidationError
 
@@ -136,30 +139,6 @@ def from_surface(p) -> TorsorPoint:
     if y2p % v1:
         raise NotInDomainError("v1 does not divide y2'")
     return validate((v1, v2, z0, y1p // v1, y2p // v1, y3p // v1, x4))
-
-
-@dataclass(frozen=True)
-class TorsorBounds:
-    """Exact integer enumeration limits at height bound B."""
-
-    B: int
-    within_height: bool  # v1^4 v2^3 y1^2 y2^2 <= B
-    y2_max: int
-    y0_max: int
-
-    def y3_max(self, v2: int, y1: int, y2: int, y0: int) -> int:
-        return isqrt(self.B * v2 * y1 * y1 - y0**4 * y2 * y2)
-
-
-def torsor_bounds(B: int, v1: int, v2: int, y1: int, y2: int) -> TorsorBounds:
-    stem = v1**4 * v2**3 * y1 * y1
-    lim = B * v2 * y1 * y1
-    return TorsorBounds(
-        B=B,
-        within_height=stem * y2 * y2 <= B,
-        y2_max=isqrt(B // stem) if stem <= B else 0,
-        y0_max=iroot4((lim - 1) // (y2 * y2)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +260,10 @@ def _base_pairs(B: int):
 
 
 def _tasks(B: int, max_split: int):
-    """Work units (v1, v2, y1, m, roots, stride, offset) in the order
-    (v1, v2, y1, offset); a unit covers the cells with y2 = offset + 1
-    (mod stride), and its y2 are split over at most ``max_split`` units."""
+    """Work units (v1, v2, y1, m, roots, y2_cap, stride, offset) in the order
+    (v1, v2, y1, offset); a unit covers the cells with y2 <= y2_cap and
+    y2 = offset + 1 (mod stride), and its y2 are split over at most
+    ``max_split`` units."""
     pairs = _base_pairs(B)
     v1 = 1
     while v1**4 <= B:
@@ -297,22 +277,30 @@ def _tasks(B: int, max_split: int):
                     break
                 nsplit = min(max_split, max(1, y2_cap // 24))
                 for off in range(nsplit):
-                    yield v1, v2, y1, m, roots, nsplit, off
+                    yield v1, v2, y1, m, roots, y2_cap, nsplit, off
         v1 += 1
 
 
-def _task_cells(B: int, v1: int, v2: int, y1: int, stride: int, off: int):
+def _task_cells(v2: int, y1: int, y2_cap: int, stride: int, off: int):
     """The y2 of one work unit, with gcd(y2, v2 y1) = 1, ascending."""
-    y2_cap = isqrt(B // (v1**4 * v2**3 * y1 * y1))
     return (y2 for y2 in range(1 + off, y2_cap + 1, stride) if gcd(y2, v2 * y1) == 1)
 
 
 def _run_task(args) -> int:
-    B, (v1, v2, y1, m, roots, stride, off) = args
+    B, (v1, v2, y1, m, roots, y2_cap, stride, off) = args
     return sum(
         _count_cell(B, v1, v2, y1, y2, m, roots)
-        for y2 in _task_cells(B, v1, v2, y1, stride, off)
+        for y2 in _task_cells(v2, y1, y2_cap, stride, off)
     )
+
+
+def _cells(B: int):
+    """Every cell (v1, v2, y1, y2, m, roots) with v1^4 v2^3 y1^2 y2^2 <= B,
+    squarefree v2, a root of -1 modulo m = v2 y1^2 and gcd(y2, v2 y1) = 1,
+    in the order (v1, v2, y1, y2)."""
+    for v1, v2, y1, m, roots, y2_cap, stride, off in _tasks(B, max_split=1):
+        for y2 in _task_cells(v2, y1, y2_cap, stride, off):
+            yield v1, v2, y1, y2, m, roots
 
 
 def count_torsor(B: int, workers: Optional[int] = None) -> int:
@@ -327,7 +315,7 @@ def count_torsor(B: int, workers: Optional[int] = None) -> int:
         raise SizeCapError(f"count_torsor is capped at B = {TORSOR_CAP}")
     workers = workers or 1
     if workers == 1:
-        return sum(_run_task((B, t)) for t in _tasks(B, max_split=1))
+        return sum(_count_cell(B, *cell) for cell in _cells(B))
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
 
@@ -345,23 +333,23 @@ def iter_torsor_points(B: int) -> Iterator[TorsorPoint]:
     root lists of the walk, memory stays bounded by one block of the kernel."""
     if B > TORSOR_CAP:
         raise SizeCapError(f"enumeration is capped at B = {TORSOR_CAP}")
-    for v1, v2, y1, m, roots, stride, off in _tasks(B, max_split=1):
-        for y2 in _task_cells(B, v1, v2, y1, stride, off):
-            for y0, y3, ok in _cell_blocks(B, v1, v2, y1, y2, m, roots):
-                order = np.lexsort((y3, y0))
-                order = order[ok[order]]
-                y0, y3 = y0[order], y3[order]
-                w = y0 * y0 * y2
-                y4 = (w * w + y3 * y3) // m
-                for a, b, d in zip(y0.tolist(), y3.tolist(), y4.tolist()):
-                    yield TorsorPoint(v1, v2, a, y1, y2, b, d)
+    for v1, v2, y1, y2, m, roots in _cells(B):
+        for y0, y3, ok in _cell_blocks(B, v1, v2, y1, y2, m, roots):
+            order = np.lexsort((y3, y0))
+            order = order[ok[order]]
+            y0, y3 = y0[order], y3[order]
+            w = y0 * y0 * y2
+            y4 = (w * w + y3 * y3) // m
+            for a, b, d in zip(y0.tolist(), y3.tolist(), y4.tolist()):
+                yield TorsorPoint(v1, v2, a, y1, y2, b, d)
 
 
-def enumerate_torsor(B: int, visitor: Callable[[TorsorPoint], None]) -> int:
-    """Call ``visitor`` once per point in deterministic order; returns the
-    number of visits.  Visitor exceptions propagate."""
-    n = 0
-    for t in iter_torsor_points(B):
-        visitor(t)
-        n += 1
-    return n
+def main_term_partial_sum(bound: int) -> float:
+    """sum of Delta(n) for n <= bound: every cell of the walk weighted by
+    cell_density / (v2^(1/4) y1^(1/2) y2^(1/2)), summed in the walk's order.
+    The per-n divisor walk ``arith.main_term_coefficient`` is its oracle."""
+    total = 0.0
+    for v1, v2, y1, y2, _, _ in _cells(bound):
+        w = cell_density(v1, v2, y1, y2)
+        total += float(w) / (v2 ** 0.25 * math.sqrt(y1) * math.sqrt(y2))
+    return total

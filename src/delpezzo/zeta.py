@@ -249,10 +249,10 @@ def count_decomposition(
     (4 c B^(3/4) sum_{n<=B} Delta(n)), main_linear ((12/pi^2 + 4 beta) B),
     residual, residual_scaled (residual / B^0.9).
     """
-    from .arith import linear_term_constant, main_term_partial_sum
+    from .arith import linear_term_constant
     from .constants import real_density_integral
     from .surface import count_degenerate
-    from .torsor import TORSOR_CAP, count_torsor
+    from .torsor import TORSOR_CAP, count_torsor, main_term_partial_sum
 
     grid = sorted(int(B) for B in grid)
     if grid and grid[-1] > TORSOR_CAP:

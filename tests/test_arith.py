@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from delpezzo import arith as A
+from delpezzo import torsor as T
 from delpezzo.errors import DelPezzoError
 
 
@@ -211,7 +212,7 @@ class TestDensityWeights:
 
     def test_partial_sum_matches_termwise(self):
         direct = sum(A.main_term_coefficient(n) for n in range(1, 201))
-        assert abs(A.main_term_partial_sum(200) - direct) < 1e-10
+        assert abs(T.main_term_partial_sum(200) - direct) < 1e-10
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
@@ -255,11 +256,13 @@ class TestDoubleIntegral:
             assert abs(A._I_inner(np.array([a]))[0] - brute) < 5e-5
 
     def test_inner_integral_against_mpmath(self):
-        # the range the direct path evaluates: A = C x with C <= 256, x <= 1
+        # the range the direct path evaluates: A = C x with C <= 256, x <= 1;
+        # and past it, where the tail of zeta(2) switches to its series
         mp = pytest.importorskip("mpmath")
         A_values = [1e-6, 0.01, 0.3, 0.999, 1.0, 1.0 + 2**-40, 1.5, 2.0, 9.4]
         A_values += [k + d for k in range(250, 257) for d in (-2**-30, 0.0, 0.5)]
         A_values += np.linspace(0.0, 256.0, 1001)[1:].tolist()
+        A_values += [257.0, 257.5, 258.0, 300.25, 1000.5, 4000.75, 8185.5, 8192.0]
         got = A._I_inner(np.array(A_values))
         with mp.workdps(40):
             for a, v in zip(A_values, got):

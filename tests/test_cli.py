@@ -90,6 +90,18 @@ class TestExitCodes:
         row = json.loads(capsys.readouterr().out)["rows"][0]
         assert row["B"] == 500 and row["torsor"] == row["oracle"] == 1005
 
+    def test_count_past_the_former_degenerate_cap(self, monkeypatch, capsys):
+        # the degenerate count accepts every B the torsor counter accepts;
+        # the torsor count is stubbed out to keep it quick
+        from delpezzo import torsor
+
+        calls = []
+        monkeypatch.setattr(torsor, "count_torsor", lambda B, workers=None: calls.append(B) or 0)
+        assert cli.main(["count", "--bmax", "200000000", "--threads", "1",
+                         "--no-timestamp"]) == cli.EXIT_OK
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert calls == [200000000] and row["n_uh"] == 243193837
+
     def test_verify_passes(self):
         assert run_cli(["verify", "--suite", "all", "--bmax", "200",
                         "--no-timestamp"]).returncode == 0

@@ -128,4 +128,8 @@ class TestDegenerate:
 
     def test_cap(self):
         with pytest.raises(SizeCapError):
-            S.count_degenerate(10**8 + 1)
+            S.count_degenerate(10**9 + 1)
+
+    def test_at_the_torsor_cap(self):
+        d = S.count_degenerate(10**9)
+        assert (d.vectors, d.points) == (2431752410, 1215876205)

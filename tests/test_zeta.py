@@ -5,6 +5,7 @@ import pytest
 
 from delpezzo import arith as A
 from delpezzo import constants as C
+from delpezzo import torsor as T
 from delpezzo import zeta as Z
 from delpezzo.errors import DelPezzoError
 
@@ -149,7 +150,7 @@ class TestResidualProduct:
 
 class TestDecomposition:
     def test_partial_sum_base(self):
-        assert A.main_term_partial_sum(1) == 1.0
+        assert T.main_term_partial_sum(1) == 1.0
 
     def test_rows_schema_and_magnitude(self):
         rows = Z.count_decomposition([100, 1000], beta_cutoff=20)

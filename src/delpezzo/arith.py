@@ -30,12 +30,12 @@ _SPF_PRIMES = None  # the primes below _SPF_LIMIT, read off the SPF table
 _TRIAL_LIMIT = _SPF_LIMIT * _SPF_LIMIT
 
 
-def _spf_table(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table up to ``limit`` (exclusive), grown on demand;
+def _spf_table() -> np.ndarray:
+    """Smallest-prime-factor table below ``_SPF_LIMIT``, built on first use;
     ``_SPF_PRIMES`` is built with it."""
-    global _SPF, _SPF_LIMIT, _SPF_PRIMES
-    if _SPF is None or limit > len(_SPF):
-        n = max(limit, _SPF_LIMIT)
+    global _SPF, _SPF_PRIMES
+    if _SPF is None:
+        n = _SPF_LIMIT
         spf = np.zeros(n, dtype=np.int64)
         spf[1] = 1
         small = []
@@ -48,7 +48,6 @@ def _spf_table(limit: int) -> np.ndarray:
         spf[rest] = rest  # remaining entries are prime
         spf[0] = 0
         _SPF = spf
-        _SPF_LIMIT = n
         _SPF_PRIMES = np.concatenate((np.array(small, dtype=np.int64), rest[1:]))  # rest[0] = 0
     return _SPF
 
@@ -71,7 +70,7 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("factorize requires n >= 1")
     out: dict[int, int] = {}
     if n < _SPF_LIMIT:
-        spf = _spf_table(n + 1)
+        spf = _spf_table()
         while n > 1:
             p = int(spf[n])
             e = 0
@@ -83,7 +82,7 @@ def factorize(n: int) -> dict[int, int]:
     if n < _TRIAL_LIMIT:
         # one remainder over the sieve's primes <= isqrt(n); what is left
         # after dividing them out has no factor <= sqrt(n), so it is 1 or prime
-        _spf_table(_SPF_LIMIT)
+        _spf_table()
         ps = _SPF_PRIMES[: np.searchsorted(_SPF_PRIMES, isqrt(n), "right")]
         for p in ps[n % ps == 0].tolist():
             e = 0
@@ -557,17 +556,24 @@ def _I_inner(A):
     return out
 
 
-_BERN = {2: 1 / 6, 3: 0.0, 4: -1 / 30, 5: 0.0, 6: 1 / 42, 7: 0.0,
-         8: -1 / 30, 9: 0.0, 10: 5 / 66, 11: 0.0, 12: -691 / 2730, 13: 0.0}
+def _bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
+    """B_0, ..., B_n exactly (B_1 = -1/2), by sum_{j <= k} C(k+1, j) B_j = 0."""
+    out = [Fraction(1)]
+    for k in range(1, n + 1):
+        out.append(-sum(math.comb(k + 1, j) * b for j, b in enumerate(out)) / (k + 1))
+    return tuple(out)
 
+
+# B_0, ..., B_20: the endpoint expansion below reads them up to B_13, the
+# Euler-Maclaurin tails of ``zeta`` up to B_20
+BERNOULLI = _bernoulli_numbers(20)
+
+_T_SERIES_J = 8
+
+# B_k(x) = sum_j C(k, j) B_(k-j) x^j, coefficients by ascending power of x
 _BERN_POLY = {
-    2: (1 / 6, -1.0, 1.0),
-    3: (0.0, 0.5, -1.5, 1.0),
-    4: (-1 / 30, 0.0, 1.0, -2.0, 1.0),
-    5: (0.0, -1 / 6, 0.0, 5 / 3, -2.5, 1.0),
-    6: (1 / 42, 0.0, -0.5, 0.0, 2.5, -3.0, 1.0),
-    7: (0.0, 1 / 6, 0.0, -7 / 6, 0.0, 3.5, -3.5, 1.0),
-    8: (-1 / 30, 0.0, 2 / 3, 0.0, -7 / 3, 0.0, 14 / 3, -4.0, 1.0),
+    k: tuple(float(math.comb(k, j) * BERNOULLI[k - j]) for j in range(k + 1))
+    for k in range(2, _T_SERIES_J + 1)
 }
 
 
@@ -579,9 +585,6 @@ def _bern_frac(k, t):
     for c in reversed(coeffs[:-1]):
         out = out * fr + c
     return out
-
-
-_T_SERIES_J = 8
 
 
 def _T_tail(tau):
@@ -656,11 +659,6 @@ def _dint_direct_batch(Cs: np.ndarray) -> np.ndarray:
         out[lo:hi] = _dint_direct_group(Cs[lo:hi])
         lo = hi
     return out
-
-
-def _dint_direct(C: int) -> float:
-    """dint(C) by the direct path alone (the grouped pass on one C)."""
-    return float(_dint_direct_batch(np.array([C]))[0])
 
 
 _EM_EDGE = 16  # integer margin kept away from both ends in the endpoint expansion
@@ -763,7 +761,7 @@ def _dint_em_batch(Cs: np.ndarray) -> np.ndarray:
         sign = 1.0
         for d in range(_EM_DEPTH):
             den *= j + 1 + d
-            Bk = _BERN.get(j + 1 + d, 0.0)
+            Bk = float(BERNOULLI[j + 1 + d])
             if Bk:
                 terms = _EM_TERMS[j][d]
                 val += (sign / den * Bk) * (

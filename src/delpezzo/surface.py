@@ -183,13 +183,8 @@ def iter_positive_solutions(B: int) -> Iterator[tuple[int, int, int, int, int]]:
                 x3_cap = isqrt(B * m - c)
                 if x3_cap < 1:
                     continue
-                if x3_cap > 2048:
-                    x3s = np.arange(1, x3_cap + 1, dtype=np.int64)
-                    hits = x3s[(c + x3s * x3s) % m == 0]
-                else:
-                    hits = [x3 for x3 in range(1, x3_cap + 1) if (c + x3 * x3) % m == 0]
-                for x3 in hits:
-                    x3 = int(x3)
+                x3s = np.arange(1, x3_cap + 1, dtype=np.int64)
+                for x3 in x3s[(c + x3s * x3s) % m == 0].tolist():
                     x4 = (c + x3 * x3) // m
                     if gcd(gcd(gcd(x0, x1), gcd(x2, x3)), x4) == 1:
                         yield (x0, x1, x2, x3, x4)

@@ -15,14 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import chi, primes_up_to
+from .arith import BERNOULLI, chi, primes_up_to
 from .errors import DelPezzoError, SizeCapError
 
 # Bernoulli numbers B_2, B_4, ..., B_20
-_BERNOULLI = (
-    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
-    -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798, -174611 / 330,
-)
+_BERNOULLI = tuple(float(b) for b in BERNOULLI[2::2])
 
 
 @dataclass(frozen=True)

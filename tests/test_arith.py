@@ -278,7 +278,7 @@ class TestDoubleIntegral:
         # every C alone against the same C inside many groups, and a C with
         # more pieces than a group on its own
         Cs = list(range(1, A._DINT_CROSSOVER + 1)) + [2 * A._DINT_GROUP]
-        alone = [A._dint_direct(C) for C in Cs]
+        alone = [A._dint_direct_batch(np.array([C]))[0] for C in Cs]
         assert A._dint_direct_batch(np.array(Cs)).tolist() == alone
         assert A._dint_direct_batch(np.array(Cs[::-1])).tolist() == alone[::-1]
 
@@ -289,13 +289,23 @@ class TestDoubleIntegral:
     def test_em_matches_direct_on_overlap(self):
         for C in (260, 300, 400, 512, 777, 1024):
             em = float(A._dint_em_batch(np.array([C]))[0])
-            direct = A._dint_direct(C)
+            direct = A._dint_direct_batch(np.array([C]))[0]
             assert abs(em - direct) < 5e-8, C
 
     def test_values_approach_one(self):
         vals = [A.fractional_part_double_integral(C) for C in (10, 100, 1000, 10000)]
         assert all(abs(v - 1) < 0.05 for v in vals[1:])
         assert abs(vals[-1] - 1) < abs(vals[0] - 1)
+
+    def test_bernoulli_numbers(self):
+        B = A.BERNOULLI
+        assert B[:3] == (1, Fraction(-1, 2), Fraction(1, 6))
+        assert B[12] == Fraction(-691, 2730) and B[20] == Fraction(-174611, 330)
+        assert all(b == 0 for b in B[3::2])
+        # B_k(x + 1) - B_k(x) = k x^(k-1), checked at x = 1/3 on the tables' floats
+        for k, coeffs in A._BERN_POLY.items():
+            diff = np.polyval(coeffs[::-1], 4 / 3) - np.polyval(coeffs[::-1], 1 / 3)
+            assert abs(diff - k * (1 / 3) ** (k - 1)) < 1e-13, k
 
 
 class TestSecondaryDensity:

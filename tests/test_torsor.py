@@ -107,8 +107,8 @@ class TestCounting:
         first = next(iter(T.iter_torsor_points(10**8)))
         assert first.as_tuple() == (1, 1, 1, 1, 1, 1, 2)
 
-    def test_parallel_partition_invariance(self):
-        B = 10**4
+    @pytest.mark.parametrize("B", [100, 10**4])  # at 100 the walk is shorter than a chunk
+    def test_parallel_partition_invariance(self, B):
         ref = T.count_torsor(B)
         assert T.count_torsor(B, workers=2) == ref
         assert T.count_torsor(B, workers=3) == ref
@@ -116,6 +116,42 @@ class TestCounting:
     def test_cap(self):
         with pytest.raises(SizeCapError):
             T.count_torsor(10**9 + 1)
+
+
+def brute_cells(B):
+    """The cells of the walk from their definition: every (v1, v2, y1, y2)
+    with v1^4 v2^3 y1^2 y2^2 <= B, squarefree v2, gcd(y2, v2 y1) = 1 and a
+    root of -1 modulo m = v2 y1^2, with the roots in [1, m] found by a scan;
+    sorted lexicographically."""
+    out = []
+    for v1 in range(1, B + 1):
+        if v1**4 > B:
+            break
+        for v2 in range(1, B + 1):
+            if v1**4 * v2**3 > B:
+                break
+            if any(v2 % (p * p) == 0 for p in range(2, isqrt(v2) + 1)):
+                continue
+            for y1 in range(1, B + 1):
+                if v1**4 * v2**3 * y1**2 > B:
+                    break
+                m = v2 * y1 * y1
+                r = np.arange(1, m + 1, dtype=np.int64)
+                roots = tuple(r[(r * r + 1) % m == 0].tolist())
+                for y2 in range(1, B + 1):
+                    if v1**4 * v2**3 * y1**2 * y2**2 > B:
+                        break
+                    if roots and gcd(y2, v2 * y1) == 1:
+                        out.append((v1, v2, y1, y2, m, roots))
+    return sorted(out)
+
+
+class TestWalk:
+    @pytest.mark.parametrize("B", [1, 2, 10**3, 10**5])
+    def test_cells_match_their_definition(self, B):
+        cells = list(T._cells(B))
+        assert cells == brute_cells(B)
+        assert all(roots == tuple(sqrts_minus_one(m)) for *_, m, roots in cells)
 
 
 class TestPartialSum:

@@ -35,20 +35,13 @@ def _spf_table() -> np.ndarray:
     ``_SPF_PRIMES`` is built with it."""
     global _SPF, _SPF_PRIMES
     if _SPF is None:
-        n = _SPF_LIMIT
-        spf = np.zeros(n, dtype=np.int64)
-        spf[1] = 1
-        small = []
-        for p in range(2, isqrt(n - 1) + 1):
-            if spf[p] == 0:
-                spf[p * p:n:p][spf[p * p:n:p] == 0] = p
-                spf[p] = p
-                small.append(p)
-        rest = np.nonzero(spf == 0)[0]
-        spf[rest] = rest  # remaining entries are prime
-        spf[0] = 0
-        _SPF = spf
-        _SPF_PRIMES = np.concatenate((np.array(small, dtype=np.int64), rest[1:]))  # rest[0] = 0
+        primes = primes_up_to(_SPF_LIMIT - 1)
+        spf = np.arange(_SPF_LIMIT, dtype=np.int64)  # primes (and 0, 1) map to themselves
+        # every composite n has a prime p <= sqrt(n) in the slice from p*p;
+        # descending order lets the smallest such p write last
+        for p in primes[primes * primes < _SPF_LIMIT][::-1].tolist():
+            spf[p * p::p] = p
+        _SPF, _SPF_PRIMES = spf, primes
     return _SPF
 
 
@@ -778,13 +771,17 @@ _DINT_CACHE: dict[int, float] = {}
 
 def warm_dint_cache(values) -> None:
     """Pre-compute dint for many C at once: every C up to the crossover in
-    grouped direct passes (at most _DINT_GROUP pieces per pass, so memory
-    stays bounded however many C are asked for), every larger C in one
-    endpoint-expansion batch."""
+    grouped direct passes (at most _DINT_GROUP pieces per pass), every larger
+    C in endpoint-expansion batches of at most _DINT_GROUP C, so memory stays
+    bounded however many C are asked for.  A value does not depend on its
+    batch."""
     missing = sorted({int(C) for C in values if int(C) not in _DINT_CACHE})
     small = [C for C in missing if C <= _DINT_CROSSOVER]
     large = [C for C in missing if C > _DINT_CROSSOVER]
-    for Cs, batch in ((small, _dint_direct_batch), (large, _dint_em_batch)):
+    batches = [(small, _dint_direct_batch)] + [
+        (large[i:i + _DINT_GROUP], _dint_em_batch) for i in range(0, len(large), _DINT_GROUP)
+    ]
+    for Cs, batch in batches:
         if Cs:
             _DINT_CACHE.update(zip(Cs, batch(np.array(Cs, dtype=np.int64)).tolist()))
 
@@ -806,7 +803,10 @@ def _dint_error_bound(C: int) -> float:
 # ---------------------------------------------------------------------------
 # the secondary-term density and its summed constant
 
-def linear_term_density(v1: int, v2: int, y1: int, tol: float = 1e-6) -> float:
+_LINEAR_DENSITY_TOL = 1e-6  # largest error bound linear_term_density accepts
+
+
+def linear_term_density(v1: int, v2: int, y1: int) -> float:
     """The integrated remainder density attached to (v1, v2, y1).
 
     -(3/pi^2) * eta(v2*y1^2)
@@ -817,9 +817,10 @@ def linear_term_density(v1: int, v2: int, y1: int, tol: float = 1e-6) -> float:
     Returns 0 whenever eta(v2*y1^2) = 0.
     """
     val, err = linear_term_density_with_error(v1, v2, y1)
-    if err > tol:
+    if err > _LINEAR_DENSITY_TOL:
         raise ToleranceError(
-            f"secondary density quadrature reached {err:.2e} > {tol:.2e}", achieved=err
+            f"secondary density quadrature reached {err:.2e} > {_LINEAR_DENSITY_TOL:.2e}",
+            achieved=err,
         )
     return val
 

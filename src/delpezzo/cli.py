@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -27,6 +27,7 @@ EXIT_VERIFY = 2
 EXIT_CAP = 3
 
 MIN_PRIME_CUTOFF = 100  # the Euler products of constants and zeta reject less
+MIN_QUAD_TOL = 1e-14  # the quadratures of constants reject less (double precision)
 
 
 class UsageError(Exception):
@@ -36,26 +37,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    bmax: int = 0
-    method: str = "torsor"
-    grid: list = field(default_factory=list)
-    primes: list = field(default_factory=list)
-    rmax: int = 2
-    prime_cutoff: int = 10**5
-    quad_tol: float = 1e-12
-    beta_cutoff: int = 100
-    threads: int = 1
-    fmt: str = "json"
-    out: Optional[str] = None
-    no_timestamp: bool = False
-    suite: str = "all"
-    s_value: float = 2.0
-    mode: str = "auto"
 
 
 def _threads_default(flag_value) -> int:
@@ -70,106 +51,93 @@ def _threads_default(flag_value) -> int:
     return os.cpu_count() or 1
 
 
-def parse_args(argv) -> RunConfig:
-    """Strict argv parsing into a RunConfig; raises UsageError on bad input."""
+# Flag types: each parses one flag's text and checks its domain.  A failed
+# check raises ArgumentTypeError, which argparse turns into a UsageError.
+
+def _checked(parse, ok, domain):
+    def convert(text):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
+    return convert
+
+
+def _int_at_least(lo: int):
+    return _checked(int, lambda n: n >= lo, f"an integer >= {lo}")
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v]
+
+
+def _all_prime(ps: list[int]) -> bool:
+    from .arith import is_prime
+
+    return all(is_prime(p) for p in ps)
+
+
+_primes = _checked(_int_list, _all_prime, "a comma-separated list of primes")
+_grid = _checked(lambda text: sorted(_int_list(text)), lambda g: not g or g[0] >= 1,
+                 "a comma-separated list of integers >= 1")
+# the Euler factors, computed at every s, converge only for s > -1/4
+_s_value = _checked(float, lambda s: math.isfinite(s) and s > -0.25, "finite and > -1/4")
+_quad_tol = _checked(float, lambda t: math.isfinite(t) and t >= MIN_QUAD_TOL,
+                     f"finite and >= {MIN_QUAD_TOL:g}")
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """Strict argv parsing; raises UsageError on bad input.  The namespace
+    carries the subcommand's ``body``, which ``run`` calls."""
     parser = _Parser(prog="delpezzo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, body, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(body=body)
+        return p
+
+    p = command("count", _cmd_count, "count points up to a height bound")
+    p.add_argument("--bmax", type=_int_at_least(1), required=True)
+    p.add_argument("--method", choices=("naive", "oracle", "torsor"), default="torsor")
+
+    p = command("verify", _cmd_verify, "run consistency suites; exit 2 on failure")
+    p.add_argument("--suite", choices=("bijection", "identities", "all"), default="all")
+    p.add_argument("--bmax", type=_int_at_least(1), default=1000)
+
+    p = command("constants", _cmd_constants, "compute the full constant bundle")
+    p.add_argument("--prime-cutoff", type=_int_at_least(MIN_PRIME_CUTOFF), default=10**6)
+    p.add_argument("--quad-tol", type=_quad_tol, default=1e-12)
+    p.add_argument("--beta-cutoff", type=_int_at_least(1), default=100)
+
+    p = command("densities", _cmd_densities, "modular solution densities vs closed form")
+    p.add_argument("--p", dest="primes", type=_primes, default="2,3,5,7",
+                   help="comma-separated primes")
+    p.add_argument("--rmax", type=_int_at_least(1), default=2)
+    p.add_argument("--mode", choices=("auto", "naive", "tables"), default="auto")
+
+    p = command("zeta", _cmd_zeta, "series layer values at a real argument")
+    p.add_argument("--s", type=_s_value, default=2.0)
+    p.add_argument("--p", dest="primes", type=_primes, default="2,3,5",
+                   help="primes for local factors")
+    p.add_argument("--prime-cutoff", type=_int_at_least(MIN_PRIME_CUTOFF), default=10**5)
+
+    p = command("decompose", _cmd_decompose, "exact decomposition diagnostic over a grid")
+    p.add_argument("--grid", type=_grid, default="1000,10000,100000")
+    p.add_argument("--beta-cutoff", type=_int_at_least(1), default=100)
+
+    for p in sub.choices.values():
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--no-timestamp", action="store_true")
 
-    p = sub.add_parser("count", help="count points up to a height bound")
-    p.add_argument("--bmax", type=int, required=True)
-    p.add_argument("--method", choices=("naive", "oracle", "torsor"), default="torsor")
-    common(p)
-
-    p = sub.add_parser("verify", help="run consistency suites; exit 2 on failure")
-    p.add_argument("--suite", choices=("bijection", "identities", "all"), default="all")
-    p.add_argument("--bmax", type=int, default=1000)
-    common(p)
-
-    p = sub.add_parser("constants", help="compute the full constant bundle")
-    p.add_argument("--prime-cutoff", type=int, default=10**6)
-    p.add_argument("--quad-tol", type=float, default=1e-12)
-    p.add_argument("--beta-cutoff", type=int, default=100)
-    common(p)
-
-    p = sub.add_parser("densities", help="modular solution densities vs closed form")
-    p.add_argument("--p", default="2,3,5,7", help="comma-separated primes")
-    p.add_argument("--rmax", type=int, default=2)
-    p.add_argument("--mode", choices=("auto", "naive", "tables"), default="auto")
-    common(p)
-
-    p = sub.add_parser("zeta", help="series layer values at a real argument")
-    p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--p", default="2,3,5", help="primes for local factors")
-    p.add_argument("--prime-cutoff", type=int, default=10**5)
-    common(p)
-
-    p = sub.add_parser("decompose", help="exact decomposition diagnostic over a grid")
-    p.add_argument("--grid", default="1000,10000,100000")
-    p.add_argument("--beta-cutoff", type=int, default=100)
-    common(p)
-
-    ns = parser.parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    cfg.fmt = ns.format
-    cfg.out = ns.out
-    cfg.threads = _threads_default(ns.threads)
-    cfg.no_timestamp = ns.no_timestamp
-    if ns.command in ("count", "verify"):
-        if ns.bmax < 1:
-            raise UsageError("--bmax must be >= 1")
-        cfg.bmax = ns.bmax
-    if ns.command in ("constants", "zeta"):
-        if ns.prime_cutoff < MIN_PRIME_CUTOFF:
-            raise UsageError(f"--prime-cutoff must be >= {MIN_PRIME_CUTOFF}")
-        cfg.prime_cutoff = ns.prime_cutoff
-    if ns.command in ("constants", "decompose"):
-        if ns.beta_cutoff < 1:
-            raise UsageError("--beta-cutoff must be >= 1")
-        cfg.beta_cutoff = ns.beta_cutoff
-    if ns.command in ("densities", "zeta"):
-        cfg.primes = _prime_list(ns.p)
-    if ns.command == "count":
-        cfg.method = ns.method
-    elif ns.command == "verify":
-        cfg.suite = ns.suite
-    elif ns.command == "constants":
-        cfg.quad_tol = ns.quad_tol
-    elif ns.command == "densities":
-        if ns.rmax < 1:
-            raise UsageError("--rmax must be >= 1")
-        cfg.rmax, cfg.mode = ns.rmax, ns.mode
-    elif ns.command == "zeta":
-        # the Euler factors, computed at every s, converge only for s > -1/4
-        if not (math.isfinite(ns.s) and ns.s > -0.25):
-            raise UsageError(f"--s must be finite and > -1/4, got {ns.s}")
-        cfg.s_value = ns.s
-    elif ns.command == "decompose":
-        try:
-            cfg.grid = sorted(int(v) for v in ns.grid.split(",") if v)
-        except ValueError as exc:
-            raise UsageError(f"bad grid: {ns.grid}") from exc
-        if cfg.grid and cfg.grid[0] < 1:
-            raise UsageError("--grid bounds must be >= 1")
+    cfg = parser.parse_args(argv)
+    cfg.threads = _threads_default(cfg.threads)
     return cfg
-
-
-def _prime_list(text: str) -> list[int]:
-    from .arith import is_prime
-
-    try:
-        primes = [int(v) for v in text.split(",") if v]
-    except ValueError as exc:
-        raise UsageError(f"bad prime list: {text}") from exc
-    for p in primes:
-        if not is_prime(p):
-            raise UsageError(f"--p takes primes, got {p}")
-    return primes
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +185,11 @@ _SCHEMAS = {
 }
 
 
-def emit_report(rows: list[dict], cfg: RunConfig) -> None:
+def emit_report(rows: list[dict], cfg: argparse.Namespace) -> None:
     ts = None
     if not cfg.no_timestamp:
         ts = datetime.now(timezone.utc).isoformat()
-    text = render_report(rows, cfg.fmt, ts, _SCHEMAS.get(cfg.command))
+    text = render_report(rows, cfg.format, ts, _SCHEMAS.get(cfg.command))
     if cfg.out in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -232,7 +200,7 @@ def emit_report(rows: list[dict], cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 # command bodies
 
-def _cmd_count(cfg: RunConfig) -> tuple[int, list[dict]]:
+def _cmd_count(cfg: argparse.Namespace) -> tuple[int, list[dict]]:
     from . import surface, torsor
 
     if cfg.method == "naive":
@@ -253,7 +221,7 @@ def _cmd_count(cfg: RunConfig) -> tuple[int, list[dict]]:
     return EXIT_OK, rows
 
 
-def _cmd_verify(cfg: RunConfig) -> tuple[int, list[dict]]:
+def _cmd_verify(cfg: argparse.Namespace) -> tuple[int, list[dict]]:
     from . import surface, torsor
 
     rows = []
@@ -286,27 +254,16 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, list[dict]]:
     return (EXIT_OK if ok else EXIT_VERIFY), rows
 
 
-def _cmd_constants(cfg: RunConfig) -> tuple[int, list[dict]]:
+def _cmd_constants(cfg: argparse.Namespace) -> tuple[int, list[dict]]:
     from .constants import constant_bundle
 
     b = constant_bundle(cfg.prime_cutoff, cfg.quad_tol, cfg.beta_cutoff)
-    rows = [{
-        "c": b.c, "c_error": b.c_error,
-        "omega_inf": b.omega_inf, "omega_inf_error": b.omega_inf_error,
-        "alpha": f"{b.alpha.numerator}/{b.alpha.denominator}",
-        "tau": b.tau, "tau_tail": b.tau_tail,
-        "beta": b.beta_val, "beta_tail": b.beta_tail,
-        "tau_H": b.tau_H, "tau_H_error": b.tau_H_error,
-        "peyre": b.peyre, "peyre_error": b.peyre_error,
-        "leading_coeff": b.leading_coeff,
-        "residue_display": b.residue_display,
-        "prime_cutoff": b.prime_cutoff, "quad_tol": b.quad_tol,
-        "beta_cutoff": b.beta_cutoff,
-    }]
-    return EXIT_OK, rows
+    row = dataclasses.asdict(b)
+    row["alpha"] = str(b.alpha)
+    return EXIT_OK, [row]
 
 
-def _cmd_densities(cfg: RunConfig) -> tuple[int, list[dict]]:
+def _cmd_densities(cfg: argparse.Namespace) -> tuple[int, list[dict]]:
     from .constants import local_density_brute, local_density_closed
 
     rows = []
@@ -323,10 +280,10 @@ def _cmd_densities(cfg: RunConfig) -> tuple[int, list[dict]]:
     return EXIT_OK, rows
 
 
-def _cmd_zeta(cfg: RunConfig) -> tuple[int, list[dict]]:
+def _cmd_zeta(cfg: argparse.Namespace) -> tuple[int, list[dict]]:
     from . import zeta
 
-    s = cfg.s_value
+    s = cfg.s
     rows = []
 
     def add(name, ev):
@@ -353,26 +310,16 @@ def _cmd_zeta(cfg: RunConfig) -> tuple[int, list[dict]]:
     return EXIT_OK, rows
 
 
-def _cmd_decompose(cfg: RunConfig) -> tuple[int, list[dict]]:
+def _cmd_decompose(cfg: argparse.Namespace) -> tuple[int, list[dict]]:
     from .zeta import count_decomposition
 
     rows = count_decomposition(cfg.grid, workers=cfg.threads, beta_cutoff=cfg.beta_cutoff)
     return EXIT_OK, rows
 
 
-_COMMANDS = {
-    "count": _cmd_count,
-    "verify": _cmd_verify,
-    "constants": _cmd_constants,
-    "densities": _cmd_densities,
-    "zeta": _cmd_zeta,
-    "decompose": _cmd_decompose,
-}
-
-
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     """Execute a parsed configuration and emit its report."""
-    code, rows = _COMMANDS[cfg.command](cfg)
+    code, rows = cfg.body(cfg)
     emit_report(rows, cfg)
     return code
 

@@ -50,7 +50,10 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return k15, abs(k15 - g7)
 
 
-def adaptive_quadrature(f, a: float, b: float, tol: float, max_depth: int = 50) -> tuple[float, float]:
+_MAX_DEPTH = 50  # bisection depth at which a panel that misses its tolerance fails
+
+
+def adaptive_quadrature(f, a: float, b: float, tol: float) -> tuple[float, float]:
     """Adaptive bisection on the Gauss-Kronrod 7-15 pair; returns (value, error)."""
     stack = [(a, b, tol, 0)]
     total = 0.0
@@ -58,8 +61,8 @@ def adaptive_quadrature(f, a: float, b: float, tol: float, max_depth: int = 50) 
     while stack:
         a0, b0, t0, depth = stack.pop()
         val, err = _gk15(f, a0, b0)
-        if err <= t0 or depth >= max_depth:
-            if depth >= max_depth and err > t0:
+        if err <= t0 or depth >= _MAX_DEPTH:
+            if depth >= _MAX_DEPTH and err > t0:
                 raise ToleranceError(
                     f"quadrature failed to converge on [{a0}, {b0}]", achieved=err
                 )
@@ -82,7 +85,7 @@ def real_density_integral(tol: float = 1e-12) -> tuple[float, float]:
     c = int_0^{pi/2} 2 sin^4(theta) / sqrt(1 + sin^2(theta)) d(theta),
     a smooth integrand handed to the adaptive Gauss-Kronrod pair.
     """
-    if tol < 1e-14:
+    if not tol >= 1e-14:  # NaN fails too
         raise ToleranceError("tolerance below double-precision floor")
     return adaptive_quadrature(
         lambda t: 2 * np.sin(t) ** 4 / np.sqrt(1 + np.sin(t) ** 2),
@@ -97,7 +100,7 @@ def archimedean_density(tol: float = 1e-12) -> tuple[float, float]:
     pre-integration-by-parts form 4 int_0^1 sqrt(1-u) u^(-3/4) du, smoothed
     by u = sin^4(psi): 16 int_0^{pi/2} cos^2(psi) sqrt(1 + sin^2(psi)) d(psi).
     """
-    if tol < 1e-14:
+    if not tol >= 1e-14:  # NaN fails too
         raise ToleranceError("tolerance below double-precision floor")
     val, err = adaptive_quadrature(
         lambda t: np.cos(t) ** 2 * np.sqrt(1 + np.sin(t) ** 2),
@@ -353,7 +356,7 @@ class ConstantBundle:
     alpha: Fraction
     tau: float
     tau_tail: float
-    beta_val: float
+    beta: float
     beta_tail: float
     tau_H: float
     tau_H_error: float
@@ -384,7 +387,7 @@ def constant_bundle(
         raise DataIntegrityError("omega_inf != 16c beyond quadrature error")
     alpha = peyre_alpha()
     tau, tau_tail = tamagawa_euler_product(prime_cutoff)
-    beta_val, beta_tail = linear_term_constant(beta_cutoff)
+    beta, beta_tail = linear_term_constant(beta_cutoff)
     tau_H = tamagawa_measure(om, tau)
     rel = tau_tail / tau + om_err / om
     lead = leading_coefficient(c, tau)
@@ -393,7 +396,7 @@ def constant_bundle(
         omega_inf=om, omega_inf_error=om_err,
         alpha=alpha,
         tau=tau, tau_tail=tau_tail,
-        beta_val=beta_val, beta_tail=beta_tail,
+        beta=beta, beta_tail=beta_tail,
         tau_H=tau_H, tau_H_error=abs(tau_H) * rel,
         peyre=float(alpha) * tau_H, peyre_error=float(alpha) * abs(tau_H) * rel,
         leading_coeff=lead,

@@ -21,6 +21,10 @@ from .errors import DelPezzoError, SizeCapError
 # Bernoulli numbers B_2, B_4, ..., B_20
 _BERNOULLI = tuple(float(b) for b in BERNOULLI[2::2])
 
+# Target error of each Euler-Maclaurin evaluation; the certified bound of
+# the result is reported whether or not it is met.
+_SERIES_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class SeriesEval:
@@ -44,7 +48,7 @@ def _hurwitz_tail_terms(s: float, Na: float, J: int):
     return terms, bound
 
 
-def hurwitz_zeta(s: float, a: float, tol: float = 1e-13) -> SeriesEval:
+def hurwitz_zeta(s: float, a: float) -> SeriesEval:
     """zeta(s, a) = sum_{n >= 0} (n+a)^(-s) for real s > 1, 0 < a <= 1.
 
     Euler-Maclaurin with the remainder bounded by the first omitted
@@ -56,7 +60,7 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-13) -> SeriesEval:
     for N in (16, 32, 64, 128, 256, 512):
         Na = N + a
         _, bound = _hurwitz_tail_terms(s, Na, J)
-        if bound <= tol / 2:
+        if bound <= _SERIES_TOL / 2:
             break
     head = sum((n + a) ** (-s) for n in range(N))
     mid = Na ** (1 - s) / (s - 1) + 0.5 * Na ** (-s)
@@ -64,12 +68,12 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-13) -> SeriesEval:
     return SeriesEval(s, head + mid + sum(terms), bound + 1e-15, N)
 
 
-def zeta_real(s: float, tol: float = 1e-13) -> SeriesEval:
+def zeta_real(s: float) -> SeriesEval:
     """Riemann zeta at real s > 1 with a certified error bound."""
-    return hurwitz_zeta(s, 1.0, tol)
+    return hurwitz_zeta(s, 1.0)
 
 
-def l_chi_real(s: float, tol: float = 1e-13) -> SeriesEval:
+def l_chi_real(s: float) -> SeriesEval:
     """L(s, chi) for the character mod 4, real s > 0.
 
     4^(-s) (zeta(s, 1/4) - zeta(s, 3/4)) with the two pole terms combined
@@ -82,7 +86,7 @@ def l_chi_real(s: float, tol: float = 1e-13) -> SeriesEval:
     for N in (16, 32, 64, 128, 256, 512):
         _, b1 = _hurwitz_tail_terms(s, N + 0.25, J)
         _, b2 = _hurwitz_tail_terms(s, N + 0.75, J)
-        if b1 + b2 <= tol / 2:
+        if b1 + b2 <= _SERIES_TOL / 2:
             break
     head = sum((n + 0.25) ** (-s) - (n + 0.75) ** (-s) for n in range(N))
     na, nb = N + 0.25, N + 0.75
@@ -97,17 +101,17 @@ def l_chi_real(s: float, tol: float = 1e-13) -> SeriesEval:
     return SeriesEval(s, val, 4.0 ** (-s) * (b1 + b2) + 1e-15, N)
 
 
-def main_zeta_product(s: float, tol: float = 1e-13) -> SeriesEval:
+def main_zeta_product(s: float) -> SeriesEval:
     """The pole-carrying product
     zeta(2s-1)^2 zeta(3s-2) zeta(4s-3) L(2s-1, chi) L(3s-2, chi), real s > 1.
     """
     if s <= 1:
         raise DelPezzoError("main product requires s > 1 (pole at s = 1)")
-    z1 = zeta_real(2 * s - 1, tol)
-    z2 = zeta_real(3 * s - 2, tol)
-    z3 = zeta_real(4 * s - 3, tol)
-    l1 = l_chi_real(2 * s - 1, tol)
-    l2 = l_chi_real(3 * s - 2, tol)
+    z1 = zeta_real(2 * s - 1)
+    z2 = zeta_real(3 * s - 2)
+    z3 = zeta_real(4 * s - 3)
+    l1 = l_chi_real(2 * s - 1)
+    l2 = l_chi_real(3 * s - 2)
     parts = (z1, z1, z2, z3, l1, l2)
     val = 1.0
     rel = 0.0
@@ -117,19 +121,19 @@ def main_zeta_product(s: float, tol: float = 1e-13) -> SeriesEval:
     return SeriesEval(s, val, abs(val) * rel, max(p.terms_or_primes for p in parts))
 
 
-def correction_zeta_product(s: float, tol: float = 1e-13) -> SeriesEval:
+def correction_zeta_product(s: float) -> SeriesEval:
     """The bounded correction product
     zeta(9s-6) L(9s-6, chi) / (zeta(5s-3)^2 zeta(6s-4)^2 L(5s-3, chi) L(6s-4, chi)^2),
     defined for real s > 5/6.
     """
     if s <= 5 / 6:
         raise DelPezzoError("correction product requires s > 5/6")
-    num = (zeta_real(9 * s - 6, tol), l_chi_real(9 * s - 6, tol))
+    num = (zeta_real(9 * s - 6), l_chi_real(9 * s - 6))
     den = (
-        zeta_real(5 * s - 3, tol), zeta_real(5 * s - 3, tol),
-        zeta_real(6 * s - 4, tol), zeta_real(6 * s - 4, tol),
-        l_chi_real(5 * s - 3, tol),
-        l_chi_real(6 * s - 4, tol), l_chi_real(6 * s - 4, tol),
+        zeta_real(5 * s - 3), zeta_real(5 * s - 3),
+        zeta_real(6 * s - 4), zeta_real(6 * s - 4),
+        l_chi_real(5 * s - 3),
+        l_chi_real(6 * s - 4), l_chi_real(6 * s - 4),
     )
     val = 1.0
     rel = 0.0
@@ -215,13 +219,11 @@ def residual_product_at_zero(prime_cutoff: int = 10**6) -> tuple[float, float]:
     return total, abs(total) * math.expm1(11 / prime_cutoff)
 
 
-def leading_factor_at_one(
-    prime_cutoff: int = 10**6, quad_tol: float = 1e-12
-) -> tuple[float, float]:
+def leading_factor_at_one(prime_cutoff: int = 10**6) -> tuple[float, float]:
     """G1(1) = 16 c H(0) / E2(1); necessarily nonzero (asserted positive)."""
     from .constants import real_density_integral
 
-    c, c_err = real_density_integral(quad_tol)
+    c, c_err = real_density_integral()
     h0, h0_err = residual_product_at_zero(prime_cutoff)
     e2 = correction_zeta_product(1.0)
     val = 16 * c * h0 / e2.value
@@ -238,7 +240,6 @@ def count_decomposition(
     grid,
     workers: Optional[int] = None,
     beta_cutoff: int = 100,
-    quad_tol: float = 1e-12,
 ) -> list[dict]:
     """Exact-count decomposition rows for each bound B in ``grid``.
 
@@ -254,7 +255,7 @@ def count_decomposition(
     grid = sorted(int(B) for B in grid)
     if grid and grid[-1] > TORSOR_CAP:
         raise SizeCapError(f"grid exceeds the counting cap {TORSOR_CAP}")
-    c, _ = real_density_integral(quad_tol)
+    c, _ = real_density_integral()
     beta, _ = linear_term_constant(beta_cutoff)
     linear_coeff = 12 / math.pi**2 + 4 * beta
     rows = []

@@ -282,6 +282,16 @@ class TestDoubleIntegral:
         assert A._dint_direct_batch(np.array(Cs)).tolist() == alone
         assert A._dint_direct_batch(np.array(Cs[::-1])).tolist() == alone[::-1]
 
+    def test_em_slices_leave_values_unchanged(self):
+        # warm_dint_cache hands large C to the endpoint expansion in slices of
+        # _DINT_GROUP; over more than three slices each value must equal the
+        # one from a single batch, bit for bit
+        Cs = list(range(10**6, 10**6 + 3 * A._DINT_GROUP + 77))
+        for C in Cs:
+            A._DINT_CACHE.pop(C, None)
+        A.warm_dint_cache(Cs)
+        assert [A._DINT_CACHE[C] for C in Cs] == A._dint_em_batch(np.array(Cs)).tolist()
+
     def test_analytic_value_at_one(self):
         c = math.gamma(1.25) * math.gamma(0.5) / (2 * math.gamma(1.75))
         assert abs(A.fractional_part_double_integral(1) - (4 * c - pi**3 / 12)) < 1e-10

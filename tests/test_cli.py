@@ -40,6 +40,24 @@ class TestParsing:
         cfg = cli.parse_args(["count", "--bmax", "10", "--threads", "2"])
         assert cfg.threads == 2  # flag wins
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["verify"], {"suite": "all", "bmax": 1000}),
+        (["constants"], {"prime_cutoff": 10**6, "quad_tol": 1e-12, "beta_cutoff": 100}),
+        (["densities"], {"primes": [2, 3, 5, 7], "rmax": 2, "mode": "auto"}),
+        (["zeta"], {"s": 2.0, "primes": [2, 3, 5], "prime_cutoff": 10**5}),
+        (["decompose"], {"grid": [1000, 10000, 100000], "beta_cutoff": 100}),
+    ])
+    def test_command_defaults(self, argv, expected):
+        cfg = cli.parse_args(argv)
+        assert cfg.command == argv[0] and cfg.format == "json" and cfg.out is None
+        assert {k: getattr(cfg, k) for k in expected} == expected
+
+    def test_lists_parsed(self):
+        cfg = cli.parse_args(["decompose", "--grid", "100,10,,1000"])
+        assert cfg.grid == [10, 100, 1000]
+        assert cli.parse_args(["decompose", "--grid="]).grid == []
+        assert cli.parse_args(["densities", "--p="]).primes == []
+
     def test_threads_env_malformed(self, monkeypatch):
         monkeypatch.setenv("DELPEZZO_THREADS", "two")
         with pytest.raises(cli.UsageError):
@@ -72,6 +90,11 @@ class TestExitCodes:
         ["zeta", "--prime-cutoff", "50"],
         ["zeta", "--p", "2,9"],
         ["zeta", "--s", "-1"],
+        ["zeta", "--s", "nan"],
+        ["constants", "--quad-tol", "nan"],
+        ["constants", "--quad-tol", "-1"],
+        ["constants", "--quad-tol", "1e-15"],
+        ["constants", "--quad-tol", "inf"],
         ["decompose", "--prime-cutoff", "1000"],  # not an option of decompose
         ["decompose", "--beta-cutoff", "0"],
         ["decompose", "--grid", "0"],

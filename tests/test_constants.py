@@ -35,6 +35,13 @@ class TestQuadrature:
         with pytest.raises(ToleranceError):
             C.real_density_integral(1e-20)
 
+    def test_nan_tolerance_rejected(self):
+        # NaN compares false both ways, so a `tol < floor` guard would let it
+        # through to a bisection down to the maximal depth on every panel
+        for quadrature in (C.real_density_integral, C.archimedean_density):
+            with pytest.raises(ToleranceError):
+                quadrature(float("nan"))
+
 
 class TestAlpha:
     def test_value(self):

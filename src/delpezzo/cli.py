@@ -40,14 +40,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _threads_default(flag_value) -> int:
+    """The --threads value, else DELPEZZO_THREADS (checked like the flag),
+    else the CPU count."""
     if flag_value is not None:
-        return max(1, int(flag_value))
+        return flag_value
     env = os.environ.get("DELPEZZO_THREADS")
     if env:
         try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise UsageError(f"DELPEZZO_THREADS must be an integer, got {env!r}") from exc
+            return _int_at_least(1)(env)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"DELPEZZO_THREADS {exc}") from exc
     return os.cpu_count() or 1
 
 
@@ -132,7 +134,7 @@ def parse_args(argv) -> argparse.Namespace:
     for p in sub.choices.values():
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=_int_at_least(1), default=None)
         p.add_argument("--no-timestamp", action="store_true")
 
     cfg = parser.parse_args(argv)

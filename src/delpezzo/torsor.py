@@ -14,30 +14,36 @@ enumerates directly.  The map and its inverse are implemented exactly.
 
 The counter walks the cells (v1, v2, y1, y2) in the order (v1, v2, y1, y2);
 counting, enumeration and the partial sum of the main-term coefficients
-Delta(n) share that one walk, and the parallel count hands out chunks of
-the walk, in walk order, to its workers.  In a cell, with m = v2 y1^2 and
-w = y0^2 y2, the equation reads w^2 + y3^2 = m y4, so y3 = rho w (mod m)
-for a square root rho of -1 modulo m: for each y0 and rho the y3 form one
-arithmetic progression of difference m.  One numpy kernel lays all
-progressions of a cell out as a ragged arange (``np.repeat`` with ``cumsum``
-offsets), in blocks of about 2^14 candidates so that memory stays bounded,
-and tests both coprimality conditions by lookup in masks over the radicals
-rad(y2) and rad(v1 v2).
+Delta(n) share that one walk, which also comes grouped by (v1, v2, y1), and
+the parallel count hands out chunks of the groups, in walk order, to its
+workers.  In a cell, with m = v2 y1^2 and w = y0^2 y2, the equation reads
+w^2 + y3^2 = m y4, so y3 = rho w (mod m) for a square root rho of -1
+modulo m: for each y0 and rho the y3 form one arithmetic progression
+y3 = s + k m, 0 <= k < K.  Every coprimality condition on y3 and y4 is a
+congruence on k, so the counter counts each progression by floor sums: it
+excludes, by inclusion-exclusion and the CRT, at most one or two classes
+of k modulo each prime of y2 v1 v2, and a class k = c (mod Q) holds
+(K - c + Q - 1) // Q of the k.  One numpy pass does this for all cells of
+a group.  The enumeration lays the progressions of a cell out as a ragged
+arange (``np.repeat`` with ``cumsum`` offsets), in blocks of about 2^14
+candidates so that memory stays bounded, and tests both coprimality
+conditions by lookup in masks over the radicals rad(y2) and rad(v1 v2);
+it is also the counter's independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd, isqrt, prod
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .arith import (
-    cell_density, factorize, iroot4, is_squarefree, sqrt_minus_one_count, sqrts_minus_one,
-    squarefree_part,
+    _tonelli_sqrt_minus_one, cell_density, factorize, is_squarefree,
+    sqrt_minus_one_count, sqrts_minus_one, squarefree_divisors, squarefree_part,
 )
 from .errors import NotInDomainError, SizeCapError, TorsorValidationError
 
@@ -149,7 +155,7 @@ def from_surface(p) -> TorsorPoint:
 # Candidates per block of the kernel; bounds its memory whatever the cell.
 _BLOCK = 1 << 14
 
-# int64 headroom of the kernel.  In every cell m = v2 y1^2 <= B (as
+# int64 headroom of the kernels.  In every cell m = v2 y1^2 <= B (as
 # v2^3 y1^2 <= B), lim = B m <= B^2, w = y0^2 y2 < sqrt(lim) <= B and
 # y3 <= isqrt(lim) <= B.  So w^2 + y3^2 <= lim, rho w < m B, and the squares
 # (s + 1)^2 in _isqrt are at most (B + 1)^2.  The offsets i m of the n
@@ -157,6 +163,16 @@ _BLOCK = 1 << 14
 # most _BLOCK candidates plus one y0 row, and a row has at most Y3/m + 1
 # candidates for each of fewer than m roots.
 assert _BLOCK * TORSOR_CAP + 2 * TORSOR_CAP**2 < 2**63
+
+# The floor sums stay lower.  The modulus Q of a term divides
+# rad(y2) rad(v1 v2), so Q <= v1 v2 y2 <= sqrt(B), as (v1 v2 y2)^2 <= B, and
+# so do the primes p of the cell.  A CRT step takes a class c (mod Q) to
+# c + Q j < Q p, where j = (e + p - c mod p) u mod p comes from residues
+# e, u < p through a product below 2 p^2 <= 2 B; the other products of two
+# residues mod p are smaller.  The numerators K + Q - 1 - c stay below
+# B + 2 sqrt(B), t = (rho w - s) / m below B, and y4(0) = (w^2 + s^2) / m
+# has w^2 + s^2 < lim + m^2 <= 2 B^2.
+assert 2 * TORSOR_CAP + 2 * isqrt(TORSOR_CAP) < 2**63 and 2 * TORSOR_CAP**2 < 2**63
 
 
 def _coprime_mask(n: int) -> tuple[int, np.ndarray]:
@@ -179,41 +195,60 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
     return s
 
 
-def _mod(a: np.ndarray, r: int) -> np.ndarray:
-    """a % r for a non-negative int64 array.  numpy's floor division by a
-    scalar is much faster than its remainder (1.2 against 4.7 ns per value
-    with numpy 2.4 on a 2-CPU Xeon), so this takes about half the time of
-    ``a % r``."""
+def _mod(a: np.ndarray, r) -> np.ndarray:
+    """a % r for a non-negative int64 array and a positive modulus r (an int
+    or an int64 array).  numpy's floor division by a scalar is much faster
+    than its remainder (1.2 against 4.7 ns per value with numpy 2.4 on a
+    2-CPU Xeon), so this takes about half the time of ``a % r``."""
     return a - a // r * r
+
+
+def _progressions(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s):
+    """The progressions of the cells (v1, v2, y1, y2), y2 in ``y2s``
+    ascending: arrays (rows, y0, w, start, K).
+
+    The rows of a cell are the y0 with gcd(y0, v1 v2 y1) = 1 and
+    w^2 < lim = B m, where w = y0^2 y2; rows[j] counts those of the j-th
+    cell, and y0, w, start and K hold the rows of every cell, cell after
+    cell.  For each row and each root rho of -1 mod m, the y3 = rho w
+    (mod m) with 1 <= y3 <= isqrt(lim - w^2) form the progression
+    y3 = start + k m, 0 <= k < K; start and K have one column per root.
+    """
+    lim = B * m
+    y2 = np.asarray(y2s, dtype=np.int64)
+    top = _isqrt(_isqrt((lim - 1) // (y2 * y2)))  # fourth roots, non-increasing
+    y0 = np.arange(1, top[0] + 1, dtype=np.int64)
+    y0 = y0[np.gcd(y0, v1 * v2 * y1) == 1]
+    # the rows of each cell are a prefix of those of the first
+    rows = np.searchsorted(y0, top, side="right")
+    ends = np.cumsum(rows)
+    y0 = y0[np.arange(ends[-1]) - np.repeat(ends - rows, rows)]
+    w = y0 * y0 * np.repeat(y2, rows)  # w^2 + y3^2 = m y4, and y3 = rho w (mod m)
+    Y3 = _isqrt(lim - w * w)
+    start = _mod(w[:, None] * np.asarray(roots, dtype=np.int64), m)
+    start[start == 0] = m
+    K = (Y3[:, None] - start) // m + 1  # >= 0, as 1 <= start <= m and Y3 >= 1
+    return rows, y0, w, start, K
 
 
 def _cell_blocks(B: int, v1: int, v2: int, y1: int, y2: int, m: int, roots):
     """Every candidate (y0, y3) of the cell (v1, v2, y1, y2), in blocks.
 
-    The rows are the y0 with gcd(y0, v1 v2 y1) = 1 and w^2 < lim = B m,
-    where w = y0^2 y2.  For each row and each root rho of -1 mod m, the
-    y3 = rho w (mod m) with 1 <= y3 <= isqrt(lim - w^2) form one
-    progression.  Yields arrays (y0, y3, ok) ordered by y0 and then by root;
-    ok marks the candidates with gcd(y3, y1 y2) = gcd(y4, v1 v2 y2) = 1,
-    where y4 = (w^2 + y3^2) / m.  A block holds whole rows: at most _BLOCK
-    candidates plus one row.
+    Yields arrays (y0, y3, ok) over the progressions of ``_progressions``,
+    ordered by y0 and then by root; ok marks the candidates with
+    gcd(y3, y1 y2) = gcd(y4, v1 v2 y2) = 1, where y4 = (w^2 + y3^2) / m.
+    A block holds whole rows: at most _BLOCK candidates plus one row.  This
+    is the enumeration kernel, and the counting kernel's oracle.
 
     The masks need only rad(y2) and rad(v1 v2).  y3 is a unit mod y1, as
     rho, y0 and y2 are.  A prime of y2 dividing y4 would divide
     y3^2 = m y4 - w^2, so gcd(y3, y2) = 1 already gives gcd(y4, y2) = 1.
     Hence y4 is computed only when rad(v1 v2) > 1.
     """
-    lim = B * m
-    y0 = np.arange(1, iroot4((lim - 1) // (y2 * y2)) + 1, dtype=np.int64)
-    y0 = y0[np.gcd(y0, v1 * v2 * y1) == 1]
+    _, y0, w, start, K = _progressions(B, v1, v2, y1, m, roots, [y2])
     if not len(y0):
         return
-    w = y0 * y0 * y2  # w^2 + y3^2 = m y4, and y3 = rho w (mod m)
     c = w * w
-    Y3 = _isqrt(lim - c)
-    start = _mod(w[:, None] * np.asarray(roots, dtype=np.int64), m)
-    start[start == 0] = m
-    K = (Y3[:, None] - start) // m + 1  # >= 0, as 1 <= start <= m and Y3 >= 1
     T = K.sum(axis=1)
     ends = np.cumsum(T)
     bid = (ends - T) // _BLOCK
@@ -234,9 +269,96 @@ def _cell_blocks(B: int, v1: int, v2: int, y1: int, y2: int, m: int, roots):
         yield np.repeat(y0[a:b], T[a:b]), y3, ok
 
 
-def _count_cell(B: int, cell) -> int:
-    """Number of points of one cell (v1, v2, y1, y2, m, roots) of the walk."""
-    return sum(int(np.count_nonzero(ok)) for *_, ok in _cell_blocks(B, *cell))
+@lru_cache(maxsize=None)
+def _inverses(p: int) -> np.ndarray:
+    """inv[a] = a^-1 mod the prime p, and inv[0] = 0."""
+    return np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
+
+
+def _y4_classes(v1: int, v2: int, m: int, y2, s, w):
+    """The classes of k that gcd(y4, v1 v2) = 1 excludes from the
+    progressions y3 = s + k m (s and w per progression, y2 per cell), as
+    [(p, [e, ...], alive), ...].
+
+    Each e has one entry per progression; alive (None for every cell)
+    marks the cells where the classes of p apply.  p | y4 reads
+    p | w^2 + y3^2 where p does not divide m, and
+    y4(k) = y4(0) + 2 s k + m k^2 = 0 (mod p) where it does:
+      - p | y2: nothing, as gcd(y3, y2) = 1 already keeps p from y4;
+      - p = 3 (mod 4), p not dividing m: nothing, as p would divide w;
+      - p = 1 (mod 4), p not dividing m: the two classes y3 = +-i w;
+      - p = 2, not dividing m: the class y3 odd (w is odd);
+      - odd p | m: the class k = -y4(0) (2 s)^-1, as s is a unit mod p;
+      - p = 2 | m: nothing, as w and y3 = rho w (mod 2) are odd, so
+        w^2 + y3^2 = 2 (mod 8) and y4 is odd.
+    Every prime of m is 2 or 1 mod 4, as -1 is a square mod m, and divides
+    no y2, as gcd(y2, v2 y1) = 1.
+    """
+    out = []
+    for p in factorize(v1 * v2):
+        if m % p:
+            alive = y2 % p != 0
+            alive = None if alive.all() else alive
+            if p == 2:
+                out.append((2, [(s + 1) & 1], alive))
+            elif p % 4 == 1:
+                u = pow(m, -1, p)
+                iw = _mod(w * _tonelli_sqrt_minus_one(p), p)
+                sp = _mod(s, p)
+                out.append((p, [_mod((iw + p - sp) * u, p), _mod((2 * p - iw - sp) * u, p)],
+                            alive))
+        elif p > 2:
+            y4 = (w * w + s * s) // m
+            out.append((p, [_mod((p - _mod(y4, p)) * _inverses(p)[_mod(2 * s, p)], p)], None))
+    return out
+
+
+def _cell_counts(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s) -> np.ndarray:
+    """The number of points of each cell (v1, v2, y1, y2), y2 in ``y2s``.
+
+    Counts the k in [0, K) of every progression y3 = s + k m of
+    ``_progressions`` by inclusion-exclusion over classes of k, all cells in
+    one pass.  gcd(y3, y2) = 1 is a Mobius sum over the squarefree d | y2:
+    d | y3 iff k = t (mod d), where t = (rho w - s) / m.  Each term of it
+    then takes at most one class of ``_y4_classes`` per prime, merged by CRT
+    into one class k = c (mod Q), which holds (K - c + Q - 1) // Q of the k.
+    """
+    rows, y0, w, s, K = _progressions(B, v1, v2, y1, m, roots, y2s)
+    nroots = len(roots)
+    y2 = np.asarray(y2s, dtype=np.int64)
+    cell = np.repeat(np.arange(len(y2)), rows * nroots)  # of each progression
+    # y3 = s + k m = m (k - t) (mod w), so d | y3 iff k = t (mod d), as d | w
+    t = ((w[:, None] * np.asarray(roots, dtype=np.int64) - s) // m).ravel()
+    s, K, w = s.ravel(), K.ravel(), np.repeat(w, nroots)
+    classes = _y4_classes(v1, v2, m, y2, s, w)
+    # one entry per progression and squarefree d | y2
+    divs = [squarefree_divisors(b) for b in y2s]
+    nd = np.array([len(ds) for ds in divs], dtype=np.int64)
+    d, mu = np.array([dm for ds in divs for dm in ds], dtype=np.int64).T
+    ndp = nd[cell]
+    prog = np.repeat(np.arange(len(K)), ndp)
+    idx = np.arange(len(prog)) - np.repeat(np.cumsum(ndp) - ndp - (np.cumsum(nd) - nd)[cell], ndp)
+    d = d[idx]
+    C = _mod(t[prog], d)
+    S = mu[idx]
+    # row i of the terms: the class C[i] (mod Q[i]) with sign S[i], one
+    # column per entry
+    C, Q, S = C[None, :], d[None, :], S[None, :]
+    for p, E, alive in classes:
+        u = _inverses(p)[_mod(Q, p)]
+        cp = p - _mod(C, p)
+        C = np.concatenate([C] + [C + Q * _mod((e[prog] + cp) * u, p) for e in E])
+        Q = np.concatenate([Q] + [Q * p] * len(E))
+        S = np.concatenate([S] + [-S if alive is None else -S * alive[cell[prog]]] * len(E))
+    n = np.cumsum((S * ((K[prog] + Q - 1 - C) // Q)).sum(axis=0))
+    ends = np.cumsum(rows * nroots * nd)
+    return np.diff(np.concatenate(([0], n))[np.concatenate(([0], ends))])
+
+
+def _count_group(B: int, group) -> int:
+    """Number of points of the cells of one group of ``_groups``."""
+    v1, v2, y1, m, roots, y2_cap = group
+    return int(_cell_counts(B, v1, v2, y1, m, roots, _y2s(v2 * y1, y2_cap)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +381,11 @@ def _base_pairs(B: int):
     return out
 
 
-def _cells(B: int):
-    """Every cell (v1, v2, y1, y2, m, roots) with v1^4 v2^3 y1^2 y2^2 <= B,
-    squarefree v2, a root of -1 modulo m = v2 y1^2 and gcd(y2, v2 y1) = 1,
-    in the order (v1, v2, y1, y2)."""
+def _groups(B: int):
+    """The cells of the walk grouped by (v1, v2, y1): every (v1, v2, y1, m,
+    roots, y2_cap) with squarefree v2, a root of -1 modulo m = v2 y1^2 and
+    y2_cap >= 1 the largest y2 with v1^4 v2^3 y1^2 y2^2 <= B; in the order
+    (v1, v2, y1).  The y2 of its cells are ``_y2s(v2 y1, y2_cap)``."""
     pairs = _base_pairs(B)
     v1 = 1
     while v1**4 <= B:
@@ -274,19 +397,30 @@ def _cells(B: int):
                 y2_cap = isqrt(b1 // (v2**3 * y1 * y1))
                 if not y2_cap:
                     break
-                for y2 in range(1, y2_cap + 1):
-                    if gcd(y2, v2 * y1) == 1:
-                        yield v1, v2, y1, y2, m, roots
+                yield v1, v2, y1, m, roots, y2_cap
         v1 += 1
 
 
-# Cells per task of the fork pool, which takes its tasks in walk order.  A
-# cell has about B^(3/4) m^(-1/4) y2^(-1/2) candidates per root, whatever
-# v1, and the blocks of large v1 hold only cells of small m and y2, so the
-# costliest chunks come last: at B = 10^7 the 180 chunks of the walk hold
-# 28% of the candidates in their first half and at most 3.4% each, which
-# bounds the time a worker waits for the last one.
-_CHUNK = 64
+def _y2s(n: int, y2_cap: int) -> list[int]:
+    """The y2 in [1, y2_cap] with gcd(y2, n) = 1, ascending."""
+    return [y2 for y2 in range(1, y2_cap + 1) if gcd(y2, n) == 1]
+
+
+def _cells(B: int):
+    """Every cell (v1, v2, y1, y2, m, roots) with v1^4 v2^3 y1^2 y2^2 <= B,
+    squarefree v2, a root of -1 modulo m = v2 y1^2 and gcd(y2, v2 y1) = 1,
+    in the order (v1, v2, y1, y2)."""
+    for v1, v2, y1, m, roots, y2_cap in _groups(B):
+        for y2 in _y2s(v2 * y1, y2_cap):
+            yield v1, v2, y1, y2, m, roots
+
+
+# Groups per task of the fork pool, which takes its tasks in walk order.
+# The costliest groups (small v1 and y1, many y2) come first: at B = 10^7
+# the first half of the 1,145 groups takes 75% of the time.  A task costs
+# the parent about 0.35 ms of CPU; 16 groups per task make 72 tasks, none
+# much over 0.1 s.
+_CHUNK = 16
 
 
 def count_torsor(B: int, workers: Optional[int] = None) -> int:
@@ -301,15 +435,15 @@ def count_torsor(B: int, workers: Optional[int] = None) -> int:
     if B > TORSOR_CAP:
         raise SizeCapError(f"count_torsor is capped at B = {TORSOR_CAP}")
     workers = workers or 1
-    count = partial(_count_cell, B)
+    count = partial(_count_group, B)
     if workers == 1:
-        return sum(map(count, _cells(B)))
+        return sum(map(count, _groups(B)))
     import multiprocessing as mp
 
     # imap feeds the walk to the workers through a pipe, so the parent holds
     # at most a pipe's worth of it, never the whole walk
     with mp.get_context("fork").Pool(workers) as pool:
-        return sum(pool.imap(count, _cells(B), chunksize=_CHUNK))
+        return sum(pool.imap(count, _groups(B), chunksize=_CHUNK))
 
 
 def iter_torsor_points(B: int) -> Iterator[TorsorPoint]:

@@ -98,9 +98,18 @@ class TestExitCodes:
         ["decompose", "--prime-cutoff", "1000"],  # not an option of decompose
         ["decompose", "--beta-cutoff", "0"],
         ["decompose", "--grid", "0"],
+        ["count", "--bmax", "10", "--threads", "0"],
+        ["count", "--bmax", "10", "--threads", "-2"],
     ])
     def test_domain_errors_are_usage_errors(self, args, capsys):
         assert cli.main(args) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize("env", ["0", "-1"])
+    def test_threads_env_domain_errors_are_usage_errors(self, env, monkeypatch, capsys):
+        # the environment variable is checked like the flag it stands for
+        monkeypatch.setenv("DELPEZZO_THREADS", env)
+        assert cli.main(["count", "--bmax", "10"]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error:")
 
     def test_verify_past_the_oracle_cap(self, monkeypatch, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from delpezzo import surface as S
 from delpezzo import torsor as T
-from delpezzo.arith import sqrts_minus_one
+from delpezzo.arith import factorize, sqrts_minus_one
 from delpezzo.errors import NotInDomainError, SizeCapError, TorsorValidationError
 
 
@@ -95,12 +95,15 @@ class TestCounting:
             rhs = t.y0**4 * t.y2**2 + t.y3**2 <= 200 * t.v2 * t.y1**2
             assert lhs == rhs
 
-    @pytest.mark.parametrize("B, n", [(10**5, 479470), (10**6, 6513969)])
+    @pytest.mark.parametrize("B, n", [(10**5, 479470), (10**6, 6513969), (10**7, 84525002)])
     def test_golden_counts(self, B, n):
         assert T.count_torsor(B) == n
 
     def test_golden_count_parallel(self):
         assert T.count_torsor(10**5, workers=2) == 479470
+
+    def test_golden_count_parallel_1e7(self):
+        assert T.count_torsor(10**7, workers=2) == 84525002
 
     def test_enumeration_streams(self):
         # the whole enumeration at 1e8 would be about 1.07e9 points
@@ -213,3 +216,90 @@ class TestKernel:
         for d in (-1, 0, 1):
             n = k * k + d
             assert T._isqrt(n).tolist() == [isqrt(int(v)) for v in n]
+
+
+def oracle_counts(B, v1, v2, y1, m, roots, y2s):
+    """The points of each cell (v1, v2, y1, y2), y2 in ``y2s``, counted as
+    sum(ok) of the enumeration kernel."""
+    return [sum(int(np.count_nonzero(ok)) for *_, ok in T._cell_blocks(B, v1, v2, y1, y2, m, roots))
+            for y2 in y2s]
+
+
+def _primes(n):
+    return list(factorize(n))
+
+
+# The rules of the floor sums, each as a predicate on a cell (v1, v2, y1, y2)
+# with m = v2 y1^2 that holds where the rule applies: the Mobius sum over
+# y2, and the classes that gcd(y4, v1 v2) = 1 excludes for a prime p | v1 v2.
+RULES = {
+    "q | y2": lambda v1, v2, y1, y2, m: y2 > 1,
+    "p | v1 v2 and p | y2": lambda v1, v2, y1, y2, m: any(
+        y2 % p == 0 for p in _primes(v1 * v2)),
+    "p = 3 mod 4, p not dividing m": lambda v1, v2, y1, y2, m: any(
+        p % 4 == 3 and m % p for p in _primes(v1 * v2)),
+    "p = 1 mod 4, p not dividing m": lambda v1, v2, y1, y2, m: any(
+        p % 4 == 1 and m % p and y2 % p for p in _primes(v1 * v2)),
+    "p = 2, not dividing m": lambda v1, v2, y1, y2, m: v1 % 2 == 0 and m % 2 and y2 % 2,
+    "odd p | m": lambda v1, v2, y1, y2, m: any(p > 2 and m % p == 0 for p in _primes(v1 * v2)),
+    "p = 2 | m": lambda v1, v2, y1, y2, m: m % 2 == 0,
+}
+
+# cells at the cap B = 10^9, one for each rule
+RULE_CELLS = {
+    "q | y2": (1, 1, 1, 105),
+    "p | v1 v2 and p | y2": (5, 1, 1, 10),
+    "p = 3 mod 4, p not dividing m": (3, 1, 1, 2),
+    "p = 1 mod 4, p not dividing m": (5, 1, 1, 3),
+    "p = 2, not dividing m": (2, 1, 5, 1),
+    "odd p | m": (5, 1, 5, 1),
+    "p = 2 | m": (1, 2, 1, 3),
+}
+
+# further cells at the cap: the extremes of m and of K
+EXTREME_CELLS = {
+    "the largest m, y1 = 31613 = 101 * 313": (1, 1, 31613, 1),
+    "m = 31525^2, eight roots": (1, 1, 31525, 1),
+    "the longest progressions": (1, 1, 1, 1),
+}
+
+
+class TestFloorSums:
+    """The floor-sum counter against the enumeration kernel, cell by cell."""
+
+    def test_every_cell_at_1e5(self):
+        B = 10**5
+        for v1, v2, y1, m, roots, y2_cap in T._groups(B):
+            y2s = T._y2s(v2 * y1, y2_cap)
+            got = T._cell_counts(B, v1, v2, y1, m, roots, y2s).tolist()
+            assert got == oracle_counts(B, v1, v2, y1, m, roots, y2s), (v1, v2, y1)
+
+    def test_rule_cells_cover_every_rule(self):
+        assert RULE_CELLS.keys() == RULES.keys()
+
+    @pytest.mark.parametrize("rule", list(RULE_CELLS))
+    def test_rule_cells_at_cap(self, rule):
+        v1, v2, y1, y2 = RULE_CELLS[rule]
+        m = v2 * y1 * y1
+        assert RULES[rule](v1, v2, y1, y2, m)
+        roots = tuple(sqrts_minus_one(m))
+        assert T._cell_counts(T.TORSOR_CAP, v1, v2, y1, m, roots, [y2]).tolist() == \
+            oracle_counts(T.TORSOR_CAP, v1, v2, y1, m, roots, [y2])
+
+    @pytest.mark.parametrize("which", list(EXTREME_CELLS))
+    def test_extremes_at_cap(self, which):
+        v1, v2, y1, y2 = EXTREME_CELLS[which]
+        m = v2 * y1 * y1
+        roots = tuple(sqrts_minus_one(m))
+        assert T._cell_counts(T.TORSOR_CAP, v1, v2, y1, m, roots, [y2]).tolist() == \
+            oracle_counts(T.TORSOR_CAP, v1, v2, y1, m, roots, [y2])
+
+    @pytest.mark.parametrize("v1, v2, y1, y2s", [
+        (5, 1, 1, [1, 2, 3, 5, 10]),  # p = 5 | v1 applies to some cells of the pass only
+        (6, 10, 1, [1, 3, 7, 9]),  # p = 2 | m, odd p = 5 | m, p = 3 mod 4 not dividing m
+    ])
+    def test_batches_at_cap(self, v1, v2, y1, y2s):
+        m = v2 * y1 * y1
+        roots = tuple(sqrts_minus_one(m))
+        assert T._cell_counts(T.TORSOR_CAP, v1, v2, y1, m, roots, y2s).tolist() == \
+            oracle_counts(T.TORSOR_CAP, v1, v2, y1, m, roots, y2s)

@@ -280,26 +280,24 @@ class TestFloorSums:
     @pytest.mark.parametrize("rule", list(RULE_CELLS))
     def test_rule_cells_at_cap(self, rule):
         v1, v2, y1, y2 = RULE_CELLS[rule]
-        m = v2 * y1 * y1
-        assert RULES[rule](v1, v2, y1, y2, m)
-        roots = tuple(sqrts_minus_one(m))
-        assert T._cell_counts(T.TORSOR_CAP, v1, v2, y1, m, roots, [y2]).tolist() == \
-            oracle_counts(T.TORSOR_CAP, v1, v2, y1, m, roots, [y2])
+        assert RULES[rule](v1, v2, y1, y2, v2 * y1 * y1)
+        self.check_at_cap(v1, v2, y1, [y2])
 
     @pytest.mark.parametrize("which", list(EXTREME_CELLS))
     def test_extremes_at_cap(self, which):
         v1, v2, y1, y2 = EXTREME_CELLS[which]
-        m = v2 * y1 * y1
-        roots = tuple(sqrts_minus_one(m))
-        assert T._cell_counts(T.TORSOR_CAP, v1, v2, y1, m, roots, [y2]).tolist() == \
-            oracle_counts(T.TORSOR_CAP, v1, v2, y1, m, roots, [y2])
+        self.check_at_cap(v1, v2, y1, [y2])
 
     @pytest.mark.parametrize("v1, v2, y1, y2s", [
         (5, 1, 1, [1, 2, 3, 5, 10]),  # p = 5 | v1 applies to some cells of the pass only
         (6, 10, 1, [1, 3, 7, 9]),  # p = 2 | m, odd p = 5 | m, p = 3 mod 4 not dividing m
     ])
     def test_batches_at_cap(self, v1, v2, y1, y2s):
-        m = v2 * y1 * y1
+        self.check_at_cap(v1, v2, y1, y2s)
+
+    @staticmethod
+    def check_at_cap(v1, v2, y1, y2s):
+        B, m = T.TORSOR_CAP, v2 * y1 * y1
         roots = tuple(sqrts_minus_one(m))
-        assert T._cell_counts(T.TORSOR_CAP, v1, v2, y1, m, roots, y2s).tolist() == \
-            oracle_counts(T.TORSOR_CAP, v1, v2, y1, m, roots, y2s)
+        assert T._cell_counts(B, v1, v2, y1, m, roots, y2s).tolist() == \
+            oracle_counts(B, v1, v2, y1, m, roots, y2s)

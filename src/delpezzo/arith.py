@@ -10,6 +10,7 @@ exact-rational local densities that weight the fast point counter.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -570,13 +571,13 @@ _BERN_POLY = {
 }
 
 
-def _bern_frac(k, t):
-    """Periodic Bernoulli polynomial B_k(frac(t)), vectorized."""
-    fr = t - np.floor(t)
+def _bern_frac(k, fr):
+    """Bernoulli polynomial B_k at the fractional parts ``fr``, by Horner in place."""
     coeffs = _BERN_POLY[k]
-    out = np.zeros_like(fr) + coeffs[-1]
+    out = np.full_like(fr, coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        out = out * fr + c
+        out *= fr
+        out += c
     return out
 
 
@@ -585,9 +586,10 @@ def _T_tail(tau):
 
     Truncation error is below tau^-9 / 60 (~3e-16 at tau = 32).
     """
+    fr = tau - np.floor(tau)
     s = np.zeros_like(tau)
     for j in range(2, _T_SERIES_J + 1):
-        s += _bern_frac(j, tau) / tau ** (j + 1)
+        s += _bern_frac(j, fr) / tau ** (j + 1)
     return -0.5 * s
 
 
@@ -769,13 +771,25 @@ _DINT_CROSSOVER = 256
 _DINT_CACHE: dict[int, float] = {}
 
 
+def _dint_arguments(values) -> set[int]:
+    """The C of ``values`` as Python ints; ValueError unless each is an
+    integer (int or numpy integer) C >= 1."""
+    try:
+        Cs = set(map(operator.index, values))
+    except TypeError:
+        raise ValueError("dint needs integer C >= 1") from None
+    if Cs and min(Cs) < 1:
+        raise ValueError("dint needs integer C >= 1")
+    return Cs
+
+
 def warm_dint_cache(values) -> None:
-    """Pre-compute dint for many C at once: every C up to the crossover in
-    grouped direct passes (at most _DINT_GROUP pieces per pass), every larger
-    C in endpoint-expansion batches of at most _DINT_GROUP C, so memory stays
-    bounded however many C are asked for.  A value does not depend on its
-    batch."""
-    missing = sorted({int(C) for C in values if int(C) not in _DINT_CACHE})
+    """Pre-compute dint for many integers C >= 1 at once: every C up to the
+    crossover in grouped direct passes (at most _DINT_GROUP pieces per pass),
+    every larger C in endpoint-expansion batches of at most _DINT_GROUP C, so
+    memory stays bounded however many C are asked for.  A value does not
+    depend on its batch."""
+    missing = sorted(_dint_arguments(values).difference(_DINT_CACHE))
     small = [C for C in missing if C <= _DINT_CROSSOVER]
     large = [C for C in missing if C > _DINT_CROSSOVER]
     batches = [(small, _dint_direct_batch)] + [
@@ -788,8 +802,7 @@ def warm_dint_cache(values) -> None:
 
 def fractional_part_double_integral(C: int) -> float:
     """dint(C) for integer C >= 1; absolute accuracy around 1e-8 or better."""
-    if C < 1:
-        raise ValueError("C >= 1 required")
+    (C,) = _dint_arguments([C])
     if C not in _DINT_CACHE:
         warm_dint_cache([C])
     return _DINT_CACHE[C]
@@ -802,8 +815,116 @@ def _dint_error_bound(C: int) -> float:
 
 # ---------------------------------------------------------------------------
 # the secondary-term density and its summed constant
+#
+# A term of beta is pref(v1, v2, y1) * S(m) / m^2 with m = v1 v2 y1, and the
+# box is summed in numpy passes, with the roundings of the scalar loop over
+# (v2, y1, v1) and every term's product in ascending order of its primes:
+#
+#   eta    eta(v2 y1^2) over the (v2, y1) grid, exact int64 from the primes
+#          up to the cutoff (_eta_grid).
+#   pref   one float64 per term, in (v2, y1, v1) order: -(3/pi^2) eta, times
+#          1 - chi(p)/p for each p | v1 v2 ascending, then p/(p+1) for each
+#          p | m ascending, one masked multiply per prime (_prefactors).
+#   S(m)   all sorted moduli at once, slot by slot: slot j divides m by the
+#          product k0 of its primes at the set bits of j and adds
+#          (-1)^popcount(j) dint(m/k0), the order of
+#          _squarefree_divisors_of_primes; dint(m/k0) is found by searchsorted
+#          in the moduli, which are closed under m -> m/k0 (_mobius_dint_sums).
+#   sum    pref * S(m) / m^2, added strictly left to right by
+#          np.add.accumulate (np.sum would add pairwise), in blocks of whole
+#          (v2, y1) rows of at most _BETA_BLOCK terms, so no temporary
+#          exceeds about 128 KB however large the box.
+#
+# The single-triple density runs the same functions on its own primes, so a
+# term of the box equals linear_term_density(v1, v2, y1) / m^2 bit for bit.
 
 _LINEAR_DENSITY_TOL = 1e-6  # largest error bound linear_term_density accepts
+_BETA_BLOCK = 1 << 14  # terms per block of the beta sum: 128 KB of float64
+
+
+def _eta_grid(v2, y1, primes) -> np.ndarray:
+    """eta(v2 * y1^2) as int64 over the grid v2[:, None], y1[None, :];
+    ``primes`` must hold every odd prime of the v2 and y1."""
+    v2 = np.asarray(v2, dtype=np.int64)[:, None]
+    y1 = np.asarray(y1, dtype=np.int64)[None, :]
+    zero = (v2 % 4 == 0) | (y1 % 2 == 0)  # 4 | v2 y1^2
+    k = np.zeros(zero.shape, dtype=np.int64)  # primes = 1 (mod 4) of v2 y1
+    for p in primes:
+        if p % 2:
+            hit = (v2 % p == 0) | (y1 % p == 0)
+            if p % 4 == 3:
+                zero |= hit
+            else:
+                k += hit
+    return np.where(zero, 0, np.left_shift(1, k))
+
+
+def _prefactors(eta, v2, y1, v1, primes) -> np.ndarray:
+    """The factor of linear_term_density before its Mobius-dint sum, as a
+    (pairs, len(v1)) float64 array: row i is the pair (v2[i], y1[i]) with
+    eta[i] = eta(v2 y1^2), column j is v1[j].  ``primes`` ascending, holding
+    every prime of each v1 v2 y1."""
+    v2 = np.asarray(v2, dtype=np.int64)[:, None]
+    y1 = np.asarray(y1, dtype=np.int64)[:, None]
+    v1 = np.asarray(v1, dtype=np.int64)[None, :]
+    pref = np.empty((v2.shape[0], v1.shape[1]))
+    pref[:] = (-(3 / math.pi**2) * eta)[:, None]
+    for p in primes:
+        if chi(p):  # the factor at p = 2 is 1
+            np.multiply(pref, 1 - chi(p) / p, out=pref, where=(v2 % p == 0) | (v1 % p == 0))
+    for p in primes:
+        hit = (v2 % p == 0) | (y1 % p == 0) | (v1 % p == 0)
+        np.multiply(pref, p / (p + 1), out=pref, where=hit)
+    return pref
+
+
+def _mobius_dint_sums(ms, primes, keys, dints) -> np.ndarray:
+    """S(m) = sum over squarefree k0 | m of mu(k0) * dint(m/k0) for every m
+    of the int64 array ``ms``, added in the order of
+    _squarefree_divisors_of_primes.  ``primes`` ascending, holding every
+    prime of each m; ``dints[i]`` is dint(keys[i]) for the sorted ``keys``,
+    which must contain every m/k0."""
+    hits = [(p, np.flatnonzero(ms % p == 0)) for p in primes]
+    omega = np.zeros(len(ms), dtype=np.int64)
+    for _, rows in hits:
+        omega[rows] += 1
+    # sorted by omega, the moduli with an i-th prime form a suffix, which
+    # starts at row starts[i + 1]; factors[i] holds the i-th primes there
+    order = np.argsort(omega, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ms, width = ms[order], int(omega.max(initial=0))
+    starts = np.searchsorted(omega[order], np.arange(width + 1)).tolist()
+    factors = [np.empty(len(ms) - starts[i + 1], dtype=np.int64) for i in range(width)]
+    pos = np.zeros(len(ms), dtype=np.int64)  # primes of each m placed so far
+    for p, rows in hits:
+        rows = rank[rows]
+        at = pos[rows]
+        for i in np.unique(at).tolist():
+            r = rows[at == i]
+            factors[i][r - starts[i + 1]] = p
+        pos[rows] = at + 1
+    sums = np.zeros(len(ms))
+    for j in range(1 << width):
+        lo = starts[j.bit_length()]
+        k0 = np.ones(len(ms) - lo, dtype=np.int64)
+        for i in range(j.bit_length()):
+            if j >> i & 1:
+                k0 *= factors[i][lo - starts[i + 1]:]
+        d = dints[np.searchsorted(keys, ms[lo:] // k0)]
+        if j.bit_count() % 2:
+            sums[lo:] -= d
+        else:
+            sums[lo:] += d
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
+
+
+def _dints(keys: list[int]) -> np.ndarray:
+    """dint at every key, through the cache."""
+    warm_dint_cache(keys)
+    return np.fromiter(map(_DINT_CACHE.__getitem__, keys), dtype=np.float64, count=len(keys))
 
 
 def linear_term_density(v1: int, v2: int, y1: int) -> float:
@@ -825,50 +946,32 @@ def linear_term_density(v1: int, v2: int, y1: int) -> float:
     return val
 
 
-def _linear_term_prefactor(v1: int, v2: int, y1: int) -> tuple[float, list[int]]:
-    """The factor of linear_term_density before its Mobius-dint sum, and the
-    sorted primes of m = v1*v2*y1; (0.0, []) when eta(v2*y1^2) = 0, and
-    nonzero otherwise."""
-    eta = sqrt_minus_one_count_of_product(((v2, 1), (y1, 2)))
-    if eta == 0:
-        return 0.0, []
-    primes_v1v2 = {p for n in (v1, v2) for p, _ in _factor_pairs(n)}
-    primes_m = primes_v1v2 | {p for p, _ in _factor_pairs(y1)}
-    pref = -(3 / math.pi**2) * eta
-    for p in primes_v1v2:
-        pref *= 1 - chi(p) / p
-    for p in primes_m:
-        pref *= p / (p + 1)
-    return pref, sorted(primes_m)
-
-
-def _mobius_dint_sum(m: int, primes: list[int]) -> float:
-    """S(m) = sum over squarefree k0 | m of mu(k0) * dint(m/k0), given the
-    sorted primes of m; it depends on m alone."""
-    total = 0.0
-    for k0, mu in _squarefree_divisors_of_primes(primes):
-        total += mu * fractional_part_double_integral(m // k0)
-    return total
-
-
 def linear_term_density_with_error(v1: int, v2: int, y1: int) -> tuple[float, float]:
     if min(v1, v2, y1) < 1:
         raise ValueError("arguments must be positive")
-    pref, primes = _linear_term_prefactor(v1, v2, y1)
-    if pref == 0.0:
-        return 0.0, 0.0
     m = v1 * v2 * y1
-    err = sum(_dint_error_bound(m // k0) for k0, _ in _squarefree_divisors_of_primes(primes))
-    return pref * _mobius_dint_sum(m, primes), abs(pref) * err
+    if m >= 1 << 63:
+        raise ValueError("v1*v2*y1 must be below 2^63")
+    primes = sorted({p for n in (v1, v2, y1) for p, _ in _factor_pairs(n)})
+    eta = _eta_grid([v2], [y1], primes)[0]
+    if eta[0] == 0:
+        return 0.0, 0.0
+    pref = float(_prefactors(eta, [v2], [y1], [v1], primes)[0, 0])
+    divisors = [m // k0 for k0, _ in _squarefree_divisors_of_primes(primes)]
+    keys = sorted(divisors)
+    s = float(_mobius_dint_sums(np.array([m]), primes, np.array(keys), _dints(keys))[0])
+    err = sum(_dint_error_bound(C) for C in divisors)
+    return pref * s, abs(pref) * err
 
 
 def linear_term_constant(cutoff: int) -> tuple[float, float]:
     """Partial sum of the secondary linear-term constant with a crude tail bound.
 
     Sums |mu(v2)| * linear_term_density(v1, v2, y1) / (v1 v2 y1)^2 over
-    v1, v2, y1 <= cutoff.  The Mobius-dint sum of each term depends only on
-    m = v1*v2*y1 and is computed once per distinct m.  The tail estimate uses
-    the termwise bound
+    v1, v2, y1 <= cutoff in the numpy passes of the section comment above:
+    S(m) once per distinct m = v1*v2*y1, and the terms added left to right
+    in the order (v2, y1, v1), bit for bit as a scalar loop would.  The tail
+    estimate uses the termwise bound
     |density| <= (6/pi^2) * 2^omega(v2*y1) * 2^omega(v1*v2*y1)
     (eta and the divisor sum bounded crudely, each dint factor by 2), summed
     outside the box via sum_{n>V} d(n)/n^2 <= (ln V + 3)/V and
@@ -876,27 +979,36 @@ def linear_term_constant(cutoff: int) -> tuple[float, float]:
     """
     if cutoff < 1:
         raise ValueError("cutoff >= 1 required")
-    pairs = [
-        (v2, y1)
-        for v2 in range(1, cutoff + 1)
-        if is_squarefree(v2)
-        for y1 in range(1, cutoff + 1)
-        if sqrt_minus_one_count(v2 * y1 * y1) > 0
-    ]
+    primes = primes_up_to(cutoff).tolist()
+    n = np.arange(1, cutoff + 1, dtype=np.int64)
+    eta = _eta_grid(n, n, primes)
+    for p in primes:  # |mu(v2)|
+        eta[n % (p * p) == 0] = 0
+    v2, y1 = np.nonzero(eta)  # the pairs (v2, y1) with a term, in row order
+    eta = eta[v2, y1]
+    v2 += 1
+    y1 += 1
+    step = max(1, _BETA_BLOCK // cutoff)
+    blocks = [slice(lo, lo + step) for lo in range(0, len(v2), step)]
+
+    def moduli(b):
+        return (v2[b] * y1[b])[:, None] * n
+
     # a prime p | m divides v1, v2 or y1, and dividing that factor by p
     # leaves a term of the box, so the moduli are closed under m -> m/k0:
     # they are exactly the arguments of dint that the sum needs
-    warm_dint_cache({v1 * v2 * y1 for v2, y1 in pairs for v1 in range(1, cutoff + 1)})
-    sums: dict[int, float] = {}  # S(m), one float per modulus
+    keys = np.unique(np.concatenate([np.unique(moduli(b)) for b in blocks]))
+    sums = _mobius_dint_sums(keys, primes, keys, _dints(keys.tolist()))
     total = 0.0
-    for v2, y1 in pairs:
-        for v1 in range(1, cutoff + 1):
-            pref, primes = _linear_term_prefactor(v1, v2, y1)
-            m = v1 * v2 * y1
-            s = sums.get(m)
-            if s is None:
-                s = sums[m] = _mobius_dint_sum(m, primes)
-            total += pref * s / (v1 * v1 * v2 * v2 * y1 * y1)
+    for b in blocks:
+        m = moduli(b)
+        terms = _prefactors(eta[b], v2[b], y1[b], n, primes)
+        terms *= sums[np.searchsorted(keys, m)]
+        m = m.astype(np.float64)  # exact below 2^53, so m * m rounds once
+        terms /= m * m
+        terms = terms.ravel()
+        terms[0] += total
+        total = float(np.add.accumulate(terms, out=terms)[-1])
     K4 = 5.1
     tail = (18 / math.pi**2) * K4 * K4 * (math.log(cutoff) + 3) / cutoff
     return total, tail

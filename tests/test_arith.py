@@ -318,6 +318,41 @@ class TestDoubleIntegral:
             assert abs(diff - k * (1 / 3) ** (k - 1)) < 1e-13, k
 
 
+def scalar_prefactor(v1, v2, y1):
+    """The factor of linear_term_density before its Mobius-dint sum, as a
+    scalar product over the primes in ascending order."""
+    eta = A.sqrt_minus_one_count(v2 * y1 * y1)
+    p_v1v2 = sorted(set(trial_division(v1)) | set(trial_division(v2)))
+    p_m = sorted(set(p_v1v2) | set(trial_division(y1)))
+    pref = -(3 / pi**2) * eta
+    for p in p_v1v2:
+        pref *= 1 - A.chi(p) / p
+    for p in p_m:
+        pref *= p / (p + 1)
+    return pref
+
+
+def scalar_mobius_dint_sum(m):
+    """S(m) = sum over squarefree k0 | m of mu(k0) dint(m/k0), added in the
+    order of the subsets of the ascending primes of m read as binary numbers."""
+    primes = sorted(trial_division(m))
+    total = 0.0
+    for j in range(1 << len(primes)):
+        k0 = math.prod(p for i, p in enumerate(primes) if j >> i & 1)
+        total += (-1) ** bin(j).count("1") * A.fractional_part_double_integral(m // k0)
+    return total
+
+
+def box_moduli(V):
+    """The sorted moduli v1*v2*y1 of the terms of linear_term_constant(V)."""
+    return sorted({
+        v1 * v2 * y1
+        for v2 in range(1, V + 1) if A.is_squarefree(v2)
+        for y1 in range(1, V + 1) if A.sqrt_minus_one_count(v2 * y1 * y1)
+        for v1 in range(1, V + 1)
+    })
+
+
 class TestSecondaryDensity:
     def test_vanishing(self):
         assert A.linear_term_density(1, 1, 2) == 0.0
@@ -355,6 +390,59 @@ class TestSecondaryDensity:
             total += t
         assert A.linear_term_constant(V)[0] == total
 
+    def test_eta_grid(self):
+        n = np.arange(1, 101)
+        grid = A._eta_grid(n, n, A.primes_up_to(100).tolist())
+        ref = [[A.sqrt_minus_one_count(v2 * y1 * y1) for y1 in range(1, 101)]
+               for v2 in range(1, 101)]
+        assert grid.tolist() == ref
+
+    def test_prefactors_on_the_box(self):
+        V = 40
+        n = np.arange(1, V + 1)
+        eta = A._eta_grid(n, n, A.primes_up_to(V).tolist())
+        v2, y1 = np.nonzero(eta)
+        pref = A._prefactors(eta[v2, y1], v2 + 1, y1 + 1, n, A.primes_up_to(V).tolist())
+        ref = [[scalar_prefactor(v1, a + 1, b + 1) for v1 in range(1, V + 1)]
+               for a, b in zip(v2.tolist(), y1.tolist())]
+        assert pref.tolist() == ref
+
+    @pytest.mark.parametrize("v1, v2, y1", [(10**6 + 3, 1, 1), (1, 97 * 101, 5), (2, 1, 13**3)])
+    def test_triples_past_the_cutoff(self, v1, v2, y1):
+        primes = sorted(trial_division(v1 * v2 * y1))
+        eta = A._eta_grid([v2], [y1], primes)[0]
+        pref = A._prefactors(eta, [v2], [y1], [v1], primes)[0, 0]
+        assert pref == scalar_prefactor(v1, v2, y1) != 0
+        m = v1 * v2 * y1
+        assert A.linear_term_density(v1, v2, y1) == pref * scalar_mobius_dint_sum(m)
+
+    def test_mobius_dint_sums(self):
+        keys = np.array(box_moduli(100))
+        assert len(keys) == 11405
+        dints = A._dints(keys.tolist())
+        sums = A._mobius_dint_sums(keys, A.primes_up_to(100).tolist(), keys, dints)
+        assert sums.tolist() == [scalar_mobius_dint_sum(m) for m in keys.tolist()]
+
+    def test_constant_is_the_scalar_loop(self):
+        V = 30
+        total = 0.0
+        for v2 in range(1, V + 1):
+            if not A.is_squarefree(v2):
+                continue
+            for y1 in range(1, V + 1):
+                if A.sqrt_minus_one_count(v2 * y1 * y1) == 0:
+                    continue
+                for v1 in range(1, V + 1):
+                    m = v1 * v2 * y1
+                    total += scalar_prefactor(v1, v2, y1) * scalar_mobius_dint_sum(m) / (m * m)
+        assert A.linear_term_constant(V)[0] == total
+
+    def test_modulus_past_int64(self):
+        with pytest.raises(ValueError):
+            A.linear_term_density_with_error(2**32, 2**31, 1)
+        with pytest.raises(ValueError):
+            A.linear_term_density(3, 2**62, 5)
+
     def test_constant_consistency(self):
         b20, tail20 = A.linear_term_constant(20)
         b40, _ = A.linear_term_constant(40)
@@ -382,3 +470,14 @@ class TestErrors:
             A.best_rational_approx(0, 5, 2)
         with pytest.raises((ValueError, DelPezzoError)):
             A.fractional_part_double_integral(0)
+
+    def test_dint_needs_an_integer(self):
+        # the cache is keyed by int, so a non-integral C must not reach it
+        for bad in (2.5, 0, -3, "7"):
+            with pytest.raises(ValueError):
+                A.fractional_part_double_integral(bad)
+            with pytest.raises(ValueError):
+                A.warm_dint_cache([5, bad])
+        assert A.fractional_part_double_integral(np.int64(3)) == A.fractional_part_double_integral(3)
+        A.warm_dint_cache(np.array([4, 300]))
+        assert A._DINT_CACHE[300] == A.fractional_part_double_integral(np.int64(300))

@@ -198,3 +198,43 @@ class TestReports:
                     "beta_tail", "tau_H", "peyre", "peyre_error", "leading_coeff"):
             assert key in row
         assert abs(row["leading_coeff"] - row["peyre"]) < 1e-9
+
+
+class TestLazyImports:
+    # the package loads a submodule on first access, so a command loads only
+    # the modules it calls; run in a fresh interpreter, after the command
+    PROBE = (
+        "import contextlib, io, json, sys\n"
+        "from delpezzo import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('delpezzo'))]))\n"
+    )
+
+    def loaded(self, argv):
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, json.dumps(argv)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == 0
+        return set(modules)
+
+    def test_constants_loads_no_counter(self):
+        loaded = self.loaded(["constants", "--prime-cutoff", "1000", "--beta-cutoff", "2",
+                              "--no-timestamp"])
+        assert "delpezzo.constants" in loaded
+        assert not loaded & {"delpezzo.torsor", "delpezzo.surface", "delpezzo.zeta"}
+
+    def test_count_loads_no_constants(self):
+        loaded = self.loaded(["count", "--bmax", "1000", "--no-timestamp"])
+        assert "delpezzo.torsor" in loaded
+        assert not loaded & {"delpezzo.constants", "delpezzo.zeta"}
+
+    def test_reexported_names(self):
+        import delpezzo
+        from delpezzo import torsor
+
+        assert delpezzo.count_torsor is torsor.count_torsor
+        assert delpezzo.constant_bundle is delpezzo.constants.constant_bundle
+        with pytest.raises(AttributeError):
+            delpezzo.no_such_name

@@ -888,37 +888,22 @@ def _mobius_dint_sums(ms, primes, keys, dints) -> np.ndarray:
     omega = np.zeros(len(ms), dtype=np.int64)
     for _, rows in hits:
         omega[rows] += 1
-    # sorted by omega, the moduli with an i-th prime form a suffix, which
-    # starts at row starts[i + 1]; factors[i] holds the i-th primes there
-    order = np.argsort(omega, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    ms, width = ms[order], int(omega.max(initial=0))
-    starts = np.searchsorted(omega[order], np.arange(width + 1)).tolist()
-    factors = [np.empty(len(ms) - starts[i + 1], dtype=np.int64) for i in range(width)]
-    pos = np.zeros(len(ms), dtype=np.int64)  # primes of each m placed so far
+    # factors[r] holds the primes of ms[r] ascending, then ones
+    factors = np.ones((len(ms), int(omega.max(initial=0))), dtype=np.int64)
+    omega[:] = 0
     for p, rows in hits:
-        rows = rank[rows]
-        at = pos[rows]
-        for i in np.unique(at).tolist():
-            r = rows[at == i]
-            factors[i][r - starts[i + 1]] = p
-        pos[rows] = at + 1
+        factors[rows, omega[rows]] = p
+        omega[rows] += 1
     sums = np.zeros(len(ms))
-    for j in range(1 << width):
-        lo = starts[j.bit_length()]
-        k0 = np.ones(len(ms) - lo, dtype=np.int64)
+    for j in range(1 << factors.shape[1]):
+        rows = np.flatnonzero(omega >= j.bit_length())
+        k0 = np.ones(len(rows), dtype=np.int64)
         for i in range(j.bit_length()):
             if j >> i & 1:
-                k0 *= factors[i][lo - starts[i + 1]:]
-        d = dints[np.searchsorted(keys, ms[lo:] // k0)]
-        if j.bit_count() % 2:
-            sums[lo:] -= d
-        else:
-            sums[lo:] += d
-    out = np.empty_like(sums)
-    out[order] = sums
-    return out
+                k0 *= factors[rows, i]
+        d = dints[np.searchsorted(keys, ms[rows] // k0)]
+        sums[rows] += -d if j.bit_count() % 2 else d
+    return sums
 
 
 def _dints(keys: list[int]) -> np.ndarray:

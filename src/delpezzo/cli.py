@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _threads_default(flag_value) -> int:
     """The --threads value, else DELPEZZO_THREADS (checked like the flag),
-    else the CPU count."""
+    else the number of CPUs this process may run on."""
     if flag_value is not None:
         return flag_value
     env = os.environ.get("DELPEZZO_THREADS")
@@ -50,6 +50,8 @@ def _threads_default(flag_value) -> int:
             return _int_at_least(1)(env)
         except argparse.ArgumentTypeError as exc:
             raise UsageError(f"DELPEZZO_THREADS {exc}") from exc
+    if hasattr(os, "sched_getaffinity"):  # honours taskset and cpusets
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

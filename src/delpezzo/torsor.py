@@ -15,9 +15,9 @@ enumerates directly.  The map and its inverse are implemented exactly.
 The counter walks the cells (v1, v2, y1, y2) in the order (v1, v2, y1, y2);
 counting, enumeration and the partial sum of the main-term coefficients
 Delta(n) share that one walk, which also comes grouped by (v1, v2, y1), and
-the parallel count hands out chunks of the groups, in walk order, to its
-workers.  In a cell, with m = v2 y1^2 and w = y0^2 y2, the equation reads
-w^2 + y3^2 = m y4, so y3 = rho w (mod m) for a square root rho of -1
+the parallel count deals the groups out once, every W-th group to each of
+its W workers.  In a cell, with m = v2 y1^2 and w = y0^2 y2, the equation
+reads w^2 + y3^2 = m y4, so y3 = rho w (mod m) for a square root rho of -1
 modulo m: for each y0 and rho the y3 form one arithmetic progression
 y3 = s + k m, 0 <= k < K.  Every coprimality condition on y3 and y4 is a
 congruence on k, so the counter counts each progression by floor sums: it
@@ -355,10 +355,10 @@ def _cell_counts(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s) -> np.nd
     return np.diff(np.concatenate(([0], n))[np.concatenate(([0], ends))])
 
 
-def _count_group(B: int, group) -> int:
-    """Number of points of the cells of one group of ``_groups``."""
-    v1, v2, y1, m, roots, y2_cap = group
-    return int(_cell_counts(B, v1, v2, y1, m, roots, _y2s(v2 * y1, y2_cap)).sum())
+def _count_groups(B: int, groups) -> int:
+    """Number of points of the cells of the given groups of ``_groups``."""
+    return sum(int(_cell_counts(B, v1, v2, y1, m, roots, _y2s(v2 * y1, y2_cap)).sum())
+               for v1, v2, y1, m, roots, y2_cap in groups)
 
 
 # ---------------------------------------------------------------------------
@@ -415,35 +415,29 @@ def _cells(B: int):
             yield v1, v2, y1, y2, m, roots
 
 
-# Groups per task of the fork pool, which takes its tasks in walk order.
-# The costliest groups (small v1 and y1, many y2) come first: at B = 10^7
-# the first half of the 1,145 groups takes 75% of the time.  A task costs
-# the parent about 0.35 ms of CPU; 16 groups per task make 72 tasks, none
-# much over 0.1 s.
-_CHUNK = 16
-
-
 def count_torsor(B: int, workers: Optional[int] = None) -> int:
     """N(Q1, Q2; B) computed on the auxiliary side.
 
-    ``workers`` > 1 hands out chunks of the walk, in walk order, to a fork
-    pool; the result is an exact integer sum and therefore identical for
-    every partition.
+    ``workers`` = W > 1 deals the groups of the walk out once to a fork
+    pool of W processes, every W-th group to each; the result is an exact
+    integer sum and therefore identical for every partition.
     """
     if B < 1:
         return 0
     if B > TORSOR_CAP:
         raise SizeCapError(f"count_torsor is capped at B = {TORSOR_CAP}")
     workers = workers or 1
-    count = partial(_count_group, B)
+    groups = list(_groups(B))
     if workers == 1:
-        return sum(map(count, _groups(B)))
+        return _count_groups(B, groups)
     import multiprocessing as mp
 
-    # imap feeds the walk to the workers through a pipe, so the parent holds
-    # at most a pipe's worth of it, never the whole walk
+    # the costliest groups (small v1 and y1, many y2) come first in the walk,
+    # so dealing them out in turn gives each worker an equal share of them:
+    # at B = 10^7 the first half of the 1,145 groups takes 75% of the time
     with mp.get_context("fork").Pool(workers) as pool:
-        return sum(pool.imap(count, _groups(B), chunksize=_CHUNK))
+        return sum(pool.map(partial(_count_groups, B),
+                            [groups[i::workers] for i in range(workers)]))
 
 
 def iter_torsor_points(B: int) -> Iterator[TorsorPoint]:

@@ -37,9 +37,11 @@ class SeriesEval:
 def _hurwitz_tail_terms(s: float, Na: float, J: int):
     """Bernoulli correction terms and the first-omitted-term bound for
     sum_{n >= N} (n+a)^(-s) handled by Euler-Maclaurin."""
+    power = Na ** (-s - 1)
+    if not power:  # every term underflows; poch might overflow to inf
+        return [], 0.0
     terms = []
     poch = s  # s (s+1) ... ascending
-    power = Na ** (-s - 1)
     for j in range(1, J + 1):
         terms.append(_BERNOULLI[j - 1] / math.factorial(2 * j) * poch * power)
         poch *= (s + 2 * j - 1) * (s + 2 * j)
@@ -77,7 +79,11 @@ def l_chi_real(s: float) -> SeriesEval:
     """L(s, chi) for the character mod 4, real s > 0.
 
     4^(-s) (zeta(s, 1/4) - zeta(s, 3/4)) with the two pole terms combined
-    analytically, so the evaluation is stable through s = 1.
+    analytically, so the evaluation is stable through s = 1.  The head
+    sums (4n+1)^(-s) - (4n+3)^(-s), which is 4^(-s) times the head of that
+    difference, and the pole terms sit on base N + 1/4 with expm1 of a
+    negative argument for s > 1: at large s every power underflows to 0
+    instead of overflowing.
     """
     if s <= 0:
         raise DelPezzoError("l_chi_real requires s > 0")
@@ -88,16 +94,17 @@ def l_chi_real(s: float) -> SeriesEval:
         _, b2 = _hurwitz_tail_terms(s, N + 0.75, J)
         if b1 + b2 <= _SERIES_TOL / 2:
             break
-    head = sum((n + 0.25) ** (-s) - (n + 0.75) ** (-s) for n in range(N))
+    head = sum((4 * n + 1) ** (-s) - (4 * n + 3) ** (-s) for n in range(N))
     na, nb = N + 0.25, N + 0.75
+    gap = math.log1p(0.5 / na)  # log(nb / na), exact to rounding
     if s == 1:
-        pole_diff = math.log(nb / na)
+        pole_diff = gap
     else:
-        pole_diff = nb ** (1 - s) * math.expm1((1 - s) * math.log(na / nb)) / (s - 1)
+        pole_diff = -na ** (1 - s) * math.expm1((1 - s) * gap) / (s - 1)
     mid = pole_diff + 0.5 * (na ** (-s) - nb ** (-s))
     t1, b1 = _hurwitz_tail_terms(s, na, J)
     t2, b2 = _hurwitz_tail_terms(s, nb, J)
-    val = 4.0 ** (-s) * (head + mid + sum(t1) - sum(t2))
+    val = head + 4.0 ** (-s) * (mid + sum(t1) - sum(t2))
     return SeriesEval(s, val, 4.0 ** (-s) * (b1 + b2) + 1e-15, N)
 
 
@@ -149,33 +156,41 @@ def correction_zeta_product(s: float) -> SeriesEval:
 # ---------------------------------------------------------------------------
 # local factors of the height series
 
+def _inv_pm1(p: float, x: float) -> float:
+    """1 / (p^x - 1) for p > 1, x > 0, as p^-x / (1 - p^-x): it underflows to
+    0 where p^x would overflow."""
+    q = p ** (-x)
+    return q / (1 - q)
+
+
 def euler_factor(p: int, s: float) -> float:
     """The local factor of the height series at shifted argument s + 1/4,
-    exactly as displayed (separate expression at p = 2).
+    as displayed (separate expression at p = 2), with every 1/(p^x - 1) and
+    1/p^x taken through p^-x so that large s underflow instead of overflow.
 
     Convergence needs the exponents positive: s > -1/4.
     """
     if s <= -0.25:
         raise DelPezzoError("euler_factor requires s > -1/4")
     if p == 2:
-        a = 2.0 ** (1 + 2 * s) - 1
-        b = 2.0 ** (1 + 4 * s) - 1
+        ia = _inv_pm1(2.0, 1 + 2 * s)
+        ib = _inv_pm1(2.0, 1 + 4 * s)
         return (
             1
-            + (0.5 + 1 / (4 * b)) / a
-            + (1 + 2.0 ** (-3 * s)) / (4 * b)
+            + (0.5 + ib / 4) * ia
+            + (1 + 2.0 ** (-3 * s)) * ib / 4
             + 2.0 ** (-(2 + 3 * s))
         )
     x = chi(p)
-    pa = float(p) ** (1 + 2 * s) - 1
-    pb = float(p) ** (1 + 4 * s) - 1
+    ia = _inv_pm1(float(p), 1 + 2 * s)
+    ib = _inv_pm1(float(p), 1 + 4 * s)
     one = 1 - 1 / p
     return (
         1
-        + one * (2 + x) / pa * (1 + one / pb)
-        + one * (1 - (1 + x) / p) / pb
-        + one**2 * (1 + x)
-        / (float(p) ** (1 + 3 * s) * (1 - float(p) ** (-1 - 4 * s)) * (1 - float(p) ** (-1 - 2 * s)))
+        + one * (2 + x) * ia * (1 + one * ib)
+        + one * (1 - (1 + x) / p) * ib
+        + one**2 * (1 + x) * float(p) ** (-1 - 3 * s)
+        / ((1 - float(p) ** (-1 - 4 * s)) * (1 - float(p) ** (-1 - 2 * s)))
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -57,6 +58,14 @@ class TestParsing:
         assert cfg.grid == [10, 100, 1000]
         assert cli.parse_args(["decompose", "--grid="]).grid == []
         assert cli.parse_args(["densities", "--p="]).primes == []
+
+    def test_threads_default_is_the_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("DELPEZZO_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert cli.parse_args(["count", "--bmax", "10"]).threads == 3
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        assert cli.parse_args(["count", "--bmax", "10"]).threads == 64
 
     def test_threads_env_malformed(self, monkeypatch):
         monkeypatch.setenv("DELPEZZO_THREADS", "two")
@@ -133,6 +142,15 @@ class TestExitCodes:
                          "--no-timestamp"]) == cli.EXIT_OK
         row = json.loads(capsys.readouterr().out)["rows"][0]
         assert calls == [200000000] and row["n_uh"] == 243193837
+
+    @pytest.mark.parametrize("s", ["58", "1000", "1e300"])
+    def test_zeta_at_large_s(self, s):
+        # p^x and 4^s overflow a double past x = 1024; every value tends to 1
+        proc = run_cli(["zeta", "--s", s, "--prime-cutoff", "1000", "--no-timestamp"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        rows = json.loads(proc.stdout)["rows"]
+        assert all(math.isfinite(r["value"]) and math.isfinite(r["error"]) for r in rows)
+        assert all(r["value"] == 1.0 for r in rows if r["argument"] == float(s))
 
     def test_verify_passes(self):
         assert run_cli(["verify", "--suite", "all", "--bmax", "200",

@@ -52,6 +52,20 @@ class TestClassicalValues:
         assert abs(ev.value - pi**2 / 6) <= ev.error * 10 + 1e-14
         assert ev.error > 0 and math.isfinite(ev.value)
 
+    @pytest.mark.parametrize("s", [0.05, 0.5, 1.0, 2.0, 4.0, 7.25])
+    def test_l_within_its_error(self, s):
+        mp = pytest.importorskip("mpmath")
+        ev = Z.l_chi_real(s)
+        with mp.workdps(30):
+            exact = mp.pi / 4 if s == 1 else (mp.zeta(s, 0.25) - mp.zeta(s, 0.75)) / mp.mpf(4) ** s
+            assert abs(ev.value - exact) <= ev.error
+
+    def test_large_arguments_underflow(self):
+        # 4^s and p^(1 + 4 s) overflow a double here; the values tend to 1
+        assert Z.l_chi_real(600.0).value == 1.0
+        assert Z.zeta_real(1e300).value == Z.l_chi_real(1e300).value == 1.0
+        assert Z.euler_factor(5, 111.0) == Z.euler_factor(2, 256.0) == 1.0
+
     def test_domain_errors(self):
         with pytest.raises(DelPezzoError):
             Z.zeta_real(1.0)

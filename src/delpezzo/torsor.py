@@ -16,19 +16,25 @@ The counter walks the cells (v1, v2, y1, y2) in the order (v1, v2, y1, y2);
 counting, enumeration and the partial sum of the main-term coefficients
 Delta(n) share that one walk, which also comes grouped by (v1, v2, y1), and
 the parallel count deals the groups out once, every W-th group to each of
-its W workers.  In a cell, with m = v2 y1^2 and w = y0^2 y2, the equation
-reads w^2 + y3^2 = m y4, so y3 = rho w (mod m) for a square root rho of -1
-modulo m: for each y0 and rho the y3 form one arithmetic progression
-y3 = s + k m, 0 <= k < K.  Every coprimality condition on y3 and y4 is a
-congruence on k, so the counter counts each progression by floor sums: it
-excludes, by inclusion-exclusion and the CRT, at most one or two classes
-of k modulo each prime of y2 v1 v2, and a class k = c (mod Q) holds
-(K - c + Q - 1) // Q of the k.  One numpy pass does this for all cells of
-a group.  The enumeration lays the progressions of a cell out as a ragged
-arange (``np.repeat`` with ``cumsum`` offsets), in blocks of about 2^14
-candidates so that memory stays bounded, and tests both coprimality
-conditions by lookup in masks over the radicals rad(y2) and rad(v1 v2);
-it is also the counter's independent oracle.
+W shares.  The walk lists no roots; the kernels look up the roots of -1
+modulo m once per group.  In a cell, with m = v2 y1^2 and w = y0^2 y2, the
+equation reads w^2 + y3^2 = m y4, so y3 = rho w (mod m) for a square root
+rho of -1 modulo m.  The equation and every coprimality condition depend
+on y3 only through y3^2 and gcds, so they hold for y3 iff they hold for
+-y3; and -y3 = (m - rho) w (mod m).  So for m > 2, where the roots come in
+pairs rho, m - rho, each pair gives one arithmetic progression
+y3 = s + k m, 0 <= k < K, over -Y3 <= y3 <= Y3 (y3 = 0 is never in it),
+whose points are those of both roots over 1 <= y3 <= Y3; for m <= 2 the one
+root gives one progression over 1 <= y3 <= Y3.  Every coprimality
+condition on y3 and y4 is a congruence on k, so the counter counts each
+progression by floor sums: it excludes, by inclusion-exclusion and the CRT,
+at most one or two classes of k modulo each prime of y2 v1 v2, and a class
+k = c (mod Q) holds (K - c + Q - 1) // Q of the k.  One numpy pass does
+this for all cells of a group.  The enumeration lays the progressions of a
+cell out as a ragged arange (``np.repeat`` with ``cumsum`` offsets), in
+blocks of about 2^14 candidates so that memory stays bounded, yields |y3|
+and tests both coprimality conditions by lookup in masks over the radicals
+rad(y2) and rad(v1 v2); it is also the counter's oracle.
 """
 
 from __future__ import annotations
@@ -157,21 +163,26 @@ _BLOCK = 1 << 14
 
 # int64 headroom of the kernels.  In every cell m = v2 y1^2 <= B (as
 # v2^3 y1^2 <= B), lim = B m <= B^2, w = y0^2 y2 < sqrt(lim) <= B and
-# y3 <= isqrt(lim) <= B.  So w^2 + y3^2 <= lim, rho w < m B, and the squares
-# (s + 1)^2 in _isqrt are at most (B + 1)^2.  The offsets i m of the n
-# candidates of a block stay below n m <= _BLOCK B + 2 B^2: a block holds at
-# most _BLOCK candidates plus one y0 row, and a row has at most Y3/m + 1
-# candidates for each of fewer than m roots.
-assert _BLOCK * TORSOR_CAP + 2 * TORSOR_CAP**2 < 2**63
+# Y3 = isqrt(lim - w^2) <= B.  So w^2 + y3^2 <= lim for |y3| <= Y3,
+# rho w < m B, and the squares (s + 1)^2 in _isqrt are at most (B + 1)^2.
+# A start lies in [-Y3, m], so |start| <= max(Y3, m) <= B.  The offsets i m
+# of the n candidates of a block stay below n m <= _BLOCK B + 2 B^2: a block
+# holds at most _BLOCK candidates plus one y0 row, and a row has at most
+# 2 Y3/m + 1 candidates for each of fewer than m/2 kept roots (m > 2), or
+# Y3 + 1 (m <= 2).  So every y3 of a block, before its absolute value, lies
+# within B + _BLOCK B + 2 B^2 of 0.
+assert (1 + _BLOCK) * TORSOR_CAP + 2 * TORSOR_CAP**2 < 2**63
 
 # The floor sums stay lower.  The modulus Q of a term divides
 # rad(y2) rad(v1 v2), so Q <= v1 v2 y2 <= sqrt(B), as (v1 v2 y2)^2 <= B, and
 # so do the primes p of the cell.  A CRT step takes a class c (mod Q) to
 # c + Q j < Q p, where j = (e + p - c mod p) u mod p comes from residues
 # e, u < p through a product below 2 p^2 <= 2 B; the other products of two
-# residues mod p are smaller.  The numerators K + Q - 1 - c stay below
-# B + 2 sqrt(B), t = (rho w - s) / m below B, and y4(0) = (w^2 + s^2) / m
-# has w^2 + s^2 < lim + m^2 <= 2 B^2.
+# residues mod p are smaller.  K <= 2 Y3/m + 1 <= 2 B + 1, so the
+# numerators K + Q - 1 - c stay below 2 B + 2 sqrt(B); t = (rho w - s) / m
+# lies in [0, (m B + B) / m] and so below 2 B; and y4(0) = (w^2 + s^2) / m
+# has w^2 + s^2 <= lim + m^2 <= 2 B^2, as |s| <= max(Y3, m) and
+# w^2 + Y3^2 <= lim.
 assert 2 * TORSOR_CAP + 2 * isqrt(TORSOR_CAP) < 2**63 and 2 * TORSOR_CAP**2 < 2**63
 
 
@@ -196,56 +207,68 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
 
 
 def _mod(a: np.ndarray, r) -> np.ndarray:
-    """a % r for a non-negative int64 array and a positive modulus r (an int
-    or an int64 array).  numpy's floor division by a scalar is much faster
-    than its remainder (1.2 against 4.7 ns per value with numpy 2.4 on a
-    2-CPU Xeon), so this takes about half the time of ``a % r``."""
+    """a % r, in [0, r), for an int64 array a of either sign and a positive
+    modulus r (an int or an int64 array).  numpy's floor division by a
+    scalar is much faster than its remainder (1.2 against 4.7 ns per value
+    with numpy 2.4 on a 2-CPU Xeon), so this takes about half the time of
+    ``a % r``."""
     return a - a // r * r
 
 
 def _progressions(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s):
     """The progressions of the cells (v1, v2, y1, y2), y2 in ``y2s``
-    ascending: arrays (rows, y0, w, start, K).
+    ascending: arrays (rows, y0, w, rw, start, K).
 
     The rows of a cell are the y0 with gcd(y0, v1 v2 y1) = 1 and
     w^2 < lim = B m, where w = y0^2 y2; rows[j] counts those of the j-th
-    cell, and y0, w, start and K hold the rows of every cell, cell after
-    cell.  For each row and each root rho of -1 mod m, the y3 = rho w
-    (mod m) with 1 <= y3 <= isqrt(lim - w^2) form the progression
-    y3 = start + k m, 0 <= k < K; start and K have one column per root.
+    cell, and y0, w, rw, start and K hold the rows of every cell, cell
+    after cell.  In a row the y3 are the 1 <= y3 <= Y3 = isqrt(lim - w^2)
+    with y3 = rho w (mod m) for a root rho in ``roots``.  For m > 2 the
+    roots come in pairs rho, m - rho, and y3 -> -y3 swaps their classes
+    while it keeps the equation and every coprimality condition: so one
+    rho of each pair, the one with 2 rho < m, stands for both, and its
+    progression runs over -Y3 <= y3 <= Y3, where y3 = 0 never lies, as rho w
+    is a unit mod m.  For m <= 2 the single root is its own negative and
+    its progression runs over 1 <= y3 <= Y3.  Each is y3 = start + k m,
+    0 <= k < K; rw = rho w, start and K have one column per kept root.
     """
     lim = B * m
     y2 = np.asarray(y2s, dtype=np.int64)
     top = _isqrt(_isqrt((lim - 1) // (y2 * y2)))  # fourth roots, non-increasing
-    y0 = np.arange(1, top[0] + 1, dtype=np.int64)
-    y0 = y0[np.gcd(y0, v1 * v2 * y1) == 1]
+    keep = np.ones(int(top[0]), dtype=bool)
+    for p in factorize(v1 * v2 * y1):
+        keep[p - 1::p] = False
+    y0 = np.flatnonzero(keep) + 1
     # the rows of each cell are a prefix of those of the first
     rows = np.searchsorted(y0, top, side="right")
     ends = np.cumsum(rows)
     y0 = y0[np.arange(ends[-1]) - np.repeat(ends - rows, rows)]
     w = y0 * y0 * np.repeat(y2, rows)  # w^2 + y3^2 = m y4, and y3 = rho w (mod m)
-    Y3 = _isqrt(lim - w * w)
-    start = _mod(w[:, None] * np.asarray(roots, dtype=np.int64), m)
-    start[start == 0] = m
-    K = (Y3[:, None] - start) // m + 1  # >= 0, as 1 <= start <= m and Y3 >= 1
-    return rows, y0, w, start, K
+    Y3 = _isqrt(lim - w * w)[:, None]  # >= 1, as w^2 < lim
+    rw = w[:, None] * np.array([r for r in roots if m <= 2 or 2 * r < m], dtype=np.int64)
+    low = -Y3 if m > 2 else 1
+    start = low + _mod(rw - low, m)  # the least y3 >= low with y3 = rho w (mod m)
+    K = (Y3 - start) // m + 1  # >= 0, as start < low + m
+    return rows, y0, w, rw, start, K
 
 
 def _cell_blocks(B: int, v1: int, v2: int, y1: int, y2: int, m: int, roots):
     """Every candidate (y0, y3) of the cell (v1, v2, y1, y2), in blocks.
 
     Yields arrays (y0, y3, ok) over the progressions of ``_progressions``,
-    ordered by y0 and then by root; ok marks the candidates with
-    gcd(y3, y1 y2) = gcd(y4, v1 v2 y2) = 1, where y4 = (w^2 + y3^2) / m.
-    A block holds whole rows: at most _BLOCK candidates plus one row.  This
-    is the enumeration kernel, and the counting kernel's oracle.
+    ordered by y0 and then by root, with y3 = |start + k m|, so that a
+    progression over -Y3 <= y3 <= Y3 gives the y3 of both roots of its
+    pair; ok marks the candidates with gcd(y3, y1 y2) = gcd(y4, v1 v2 y2) = 1,
+    where y4 = (w^2 + y3^2) / m.  A block holds whole rows: at most _BLOCK
+    candidates plus one row.  This is the enumeration kernel, and the
+    counting kernel's oracle.
 
     The masks need only rad(y2) and rad(v1 v2).  y3 is a unit mod y1, as
     rho, y0 and y2 are.  A prime of y2 dividing y4 would divide
     y3^2 = m y4 - w^2, so gcd(y3, y2) = 1 already gives gcd(y4, y2) = 1.
     Hence y4 is computed only when rad(v1 v2) > 1.
     """
-    _, y0, w, start, K = _progressions(B, v1, v2, y1, m, roots, [y2])
+    _, y0, w, _, start, K = _progressions(B, v1, v2, y1, m, roots, [y2])
     if not len(y0):
         return
     c = w * w
@@ -259,7 +282,7 @@ def _cell_blocks(B: int, v1: int, v2: int, y1: int, y2: int, m: int, roots):
         k = K[a:b].ravel()
         off = np.cumsum(k) - k
         n = int(off[-1] + k[-1])
-        y3 = np.repeat(start[a:b].ravel() - off * m, k) + np.arange(0, n * m, m)
+        y3 = np.abs(np.repeat(start[a:b].ravel() - off * m, k) + np.arange(0, n * m, m))
         ok = np.ones(n, dtype=bool)
         if r3 > 1:
             ok &= mask3[_mod(y3, r3)]
@@ -318,17 +341,22 @@ def _cell_counts(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s) -> np.nd
 
     Counts the k in [0, K) of every progression y3 = s + k m of
     ``_progressions`` by inclusion-exclusion over classes of k, all cells in
-    one pass.  gcd(y3, y2) = 1 is a Mobius sum over the squarefree d | y2:
-    d | y3 iff k = t (mod d), where t = (rho w - s) / m.  Each term of it
-    then takes at most one class of ``_y4_classes`` per prime, merged by CRT
-    into one class k = c (mod Q), which holds (K - c + Q - 1) // Q of the k.
+    one pass; a progression over -Y3 <= y3 <= Y3 counts the points of both
+    roots of its pair, as every condition depends on |y3| only.
+    gcd(y3, y2) = 1 is a Mobius sum over the squarefree d | y2: d | y3 iff
+    k = t (mod d), where t = (rho w - s) / m >= 0: s is the least
+    y3 = rho w (mod m) not below the lower end of the range, -Y3 or 1, so
+    s <= rho w.
+    Each term of it then takes at most one class of ``_y4_classes`` per
+    prime, merged by CRT into one class k = c (mod Q), which holds
+    (K - c + Q - 1) // Q of the k.
     """
-    rows, y0, w, s, K = _progressions(B, v1, v2, y1, m, roots, y2s)
-    nroots = len(roots)
+    rows, y0, w, rw, s, K = _progressions(B, v1, v2, y1, m, roots, y2s)
+    nroots = rw.shape[1]
     y2 = np.asarray(y2s, dtype=np.int64)
     cell = np.repeat(np.arange(len(y2)), rows * nroots)  # of each progression
     # y3 = s + k m = m (k - t) (mod w), so d | y3 iff k = t (mod d), as d | w
-    t = ((w[:, None] * np.asarray(roots, dtype=np.int64) - s) // m).ravel()
+    t = ((rw - s) // m).ravel()
     s, K, w = s.ravel(), K.ravel(), np.repeat(w, nroots)
     classes = _y4_classes(v1, v2, m, y2, s, w)
     # one entry per progression and squarefree d | y2
@@ -357,15 +385,16 @@ def _cell_counts(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s) -> np.nd
 
 def _count_groups(B: int, groups) -> int:
     """Number of points of the cells of the given groups of ``_groups``."""
-    return sum(int(_cell_counts(B, v1, v2, y1, m, roots, _y2s(v2 * y1, y2_cap)).sum())
-               for v1, v2, y1, m, roots, y2_cap in groups)
+    return sum(int(_cell_counts(B, v1, v2, y1, m, sqrts_minus_one(m),
+                                _y2s(v2 * y1, y2_cap)).sum())
+               for v1, v2, y1, m, y2_cap in groups)
 
 
 # ---------------------------------------------------------------------------
 # the cell walk
 
 def _base_pairs(B: int):
-    """(v2, [(y1, m, roots), ...]) by ascending v2 and y1: squarefree v2,
+    """(v2, [(y1, m), ...]) by ascending v2 and y1: squarefree v2,
     v2^3 y1^2 <= B, and -1 a square modulo m = v2 y1^2."""
     out = []
     v2 = 1
@@ -375,7 +404,7 @@ def _base_pairs(B: int):
             for y1 in range(1, isqrt(B // v2**3) + 1):
                 m = v2 * y1 * y1
                 if sqrt_minus_one_count(m):
-                    row.append((y1, m, tuple(sqrts_minus_one(m))))
+                    row.append((y1, m))
             out.append((v2, row))
         v2 += 1
     return out
@@ -383,9 +412,11 @@ def _base_pairs(B: int):
 
 def _groups(B: int):
     """The cells of the walk grouped by (v1, v2, y1): every (v1, v2, y1, m,
-    roots, y2_cap) with squarefree v2, a root of -1 modulo m = v2 y1^2 and
+    y2_cap) with squarefree v2, a root of -1 modulo m = v2 y1^2 and
     y2_cap >= 1 the largest y2 with v1^4 v2^3 y1^2 y2^2 <= B; in the order
-    (v1, v2, y1).  The y2 of its cells are ``_y2s(v2 y1, y2_cap)``."""
+    (v1, v2, y1).  The y2 of its cells are ``_y2s(v2 y1, y2_cap)``.  The
+    walk builds no root list: the kernels look up ``sqrts_minus_one(m)``
+    once per group, in the process that counts it."""
     pairs = _base_pairs(B)
     v1 = 1
     while v1**4 <= B:
@@ -393,11 +424,11 @@ def _groups(B: int):
         for v2, row in pairs:
             if v2**3 > b1:
                 break
-            for y1, m, roots in row:
+            for y1, m in row:
                 y2_cap = isqrt(b1 // (v2**3 * y1 * y1))
                 if not y2_cap:
                     break
-                yield v1, v2, y1, m, roots, y2_cap
+                yield v1, v2, y1, m, y2_cap
         v1 += 1
 
 
@@ -407,20 +438,21 @@ def _y2s(n: int, y2_cap: int) -> list[int]:
 
 
 def _cells(B: int):
-    """Every cell (v1, v2, y1, y2, m, roots) with v1^4 v2^3 y1^2 y2^2 <= B,
+    """Every cell (v1, v2, y1, y2, m) with v1^4 v2^3 y1^2 y2^2 <= B,
     squarefree v2, a root of -1 modulo m = v2 y1^2 and gcd(y2, v2 y1) = 1,
     in the order (v1, v2, y1, y2)."""
-    for v1, v2, y1, m, roots, y2_cap in _groups(B):
+    for v1, v2, y1, m, y2_cap in _groups(B):
         for y2 in _y2s(v2 * y1, y2_cap):
-            yield v1, v2, y1, y2, m, roots
+            yield v1, v2, y1, y2, m
 
 
 def count_torsor(B: int, workers: Optional[int] = None) -> int:
     """N(Q1, Q2; B) computed on the auxiliary side.
 
-    ``workers`` = W > 1 deals the groups of the walk out once to a fork
-    pool of W processes, every W-th group to each; the result is an exact
-    integer sum and therefore identical for every partition.
+    ``workers`` = W > 1 deals the groups of the walk out once, every W-th
+    group to each of W shares: the calling process counts the last share
+    while a fork pool of W - 1 processes counts the others.  The result is
+    an exact integer sum and therefore identical for every partition.
     """
     if B < 1:
         return 0
@@ -433,28 +465,34 @@ def count_torsor(B: int, workers: Optional[int] = None) -> int:
     import multiprocessing as mp
 
     # the costliest groups (small v1 and y1, many y2) come first in the walk,
-    # so dealing them out in turn gives each worker an equal share of them:
-    # at B = 10^7 the first half of the 1,145 groups takes 75% of the time
-    with mp.get_context("fork").Pool(workers) as pool:
-        return sum(pool.map(partial(_count_groups, B),
-                            [groups[i::workers] for i in range(workers)]))
+    # so dealing them out in turn gives each share an equal part of them:
+    # at B = 10^7 the first half of the 1,145 groups takes 66-69% of the time.
+    # The first group, (v1, v2, y1) = (1, 1, 1) with every y2, has the largest
+    # arrays (4.5 MB at B = 10^7, the next group 1.6 MB); a worker counts it,
+    # so that it does not add to the memory the calling process already holds.
+    shares = [groups[i::workers] for i in range(workers)]
+    with mp.get_context("fork").Pool(workers - 1) as pool:
+        rest = pool.map_async(partial(_count_groups, B), shares[:-1])
+        return _count_groups(B, shares[-1]) + sum(rest.get())
 
 
 def iter_torsor_points(B: int) -> Iterator[TorsorPoint]:
     """Every point counted by ``count_torsor`` exactly once, ordered
     lexicographically by (v1, v2, y1, y2, y0, y3).  Streams: besides the
-    root lists of the walk, memory stays bounded by one block of the kernel."""
+    groups of the walk, memory stays bounded by one block of the kernel."""
     if B > TORSOR_CAP:
         raise SizeCapError(f"enumeration is capped at B = {TORSOR_CAP}")
-    for v1, v2, y1, y2, m, roots in _cells(B):
-        for y0, y3, ok in _cell_blocks(B, v1, v2, y1, y2, m, roots):
-            order = np.lexsort((y3, y0))
-            order = order[ok[order]]
-            y0, y3 = y0[order], y3[order]
-            w = y0 * y0 * y2
-            y4 = (w * w + y3 * y3) // m
-            for a, b, d in zip(y0.tolist(), y3.tolist(), y4.tolist()):
-                yield TorsorPoint(v1, v2, a, y1, y2, b, d)
+    for v1, v2, y1, m, y2_cap in _groups(B):
+        roots = sqrts_minus_one(m)
+        for y2 in _y2s(v2 * y1, y2_cap):
+            for y0, y3, ok in _cell_blocks(B, v1, v2, y1, y2, m, roots):
+                order = np.lexsort((y3, y0))
+                order = order[ok[order]]
+                y0, y3 = y0[order], y3[order]
+                w = y0 * y0 * y2
+                y4 = (w * w + y3 * y3) // m
+                for a, b, d in zip(y0.tolist(), y3.tolist(), y4.tolist()):
+                    yield TorsorPoint(v1, v2, a, y1, y2, b, d)
 
 
 def main_term_partial_sum(bound: int) -> float:
@@ -462,7 +500,7 @@ def main_term_partial_sum(bound: int) -> float:
     cell_density / (v2^(1/4) y1^(1/2) y2^(1/2)), summed in the walk's order.
     The per-n divisor walk ``arith.main_term_coefficient`` is its oracle."""
     total = 0.0
-    for v1, v2, y1, y2, _, _ in _cells(bound):
+    for v1, v2, y1, y2, _ in _cells(bound):
         w = cell_density(v1, v2, y1, y2)
         total += float(w) / (v2 ** 0.25 * math.sqrt(y1) * math.sqrt(y2))
     return total

@@ -105,6 +105,9 @@ class TestCounting:
     def test_golden_count_parallel_1e7(self):
         assert T.count_torsor(10**7, workers=2) == 84525002
 
+    def test_golden_count_parallel_1e8(self):
+        assert T.count_torsor(10**8, workers=2) == 1070253416
+
     def test_enumeration_streams(self):
         # the whole enumeration at 1e8 would be about 1.07e9 points
         first = next(iter(T.iter_torsor_points(10**8)))
@@ -153,9 +156,39 @@ def brute_cells(B):
 class TestWalk:
     @pytest.mark.parametrize("B", [1, 2, 10**3, 10**5])
     def test_cells_match_their_definition(self, B):
-        cells = list(T._cells(B))
-        assert cells == brute_cells(B)
+        cells = brute_cells(B)
+        assert list(T._cells(B)) == [cell[:5] for cell in cells]
+        # the roots the kernels look up per group
         assert all(roots == tuple(sqrts_minus_one(m)) for *_, m, roots in cells)
+
+
+class TestPairing:
+    def test_progressions_give_every_y3_once(self):
+        """In every cell for B = 10^4 the y3 of a row, 1 <= y3 <= Y3 with
+        y3^2 = -w^2 (mod m) found by a scan, are exactly the |s + k m| of the
+        row's progressions: a multiset, so no y3 is missed or given twice.
+        The roots come from the scan of ``brute_cells``."""
+        B = 10**4
+        ms, sides = set(), set()
+        for v1, v2, y1, y2, m, roots in brute_cells(B):
+            lim = B * m
+            y0s = [a for a in range(1, isqrt(lim) + 1)
+                   if (a * a * y2) ** 2 < lim and gcd(a, v1 * v2 * y1) == 1]
+            rows, y0, _, _, start, K = T._progressions(B, v1, v2, y1, m, roots, [y2])
+            assert rows.tolist() == [len(y0s)] and y0.tolist() == y0s
+            ms.add(min(m, 3))
+            for a, starts, ks in zip(y0s, start.tolist(), K.tolist()):
+                w = a * a * y2
+                y3 = np.arange(1, isqrt(lim - w * w) + 1)
+                want = y3[(y3 * y3 + w * w) % m == 0].tolist()
+                got = sorted(abs(s + k * m) for s, n in zip(starts, ks) for k in range(n))
+                assert got == want, (v1, v2, y1, y2, a)
+                for s, n in zip(starts, ks):
+                    if n:
+                        sides.add((s < 0, s + (n - 1) * m > 0))
+        assert ms == {1, 2, 3}  # m = 1, m = 2 and m > 2
+        # progressions with y3 < 0 only, y3 > 0 only and both
+        assert sides == {(True, False), (False, True), (True, True)}
 
 
 class TestPartialSum:
@@ -270,7 +303,8 @@ class TestFloorSums:
 
     def test_every_cell_at_1e5(self):
         B = 10**5
-        for v1, v2, y1, m, roots, y2_cap in T._groups(B):
+        for v1, v2, y1, m, y2_cap in T._groups(B):
+            roots = tuple(sqrts_minus_one(m))
             y2s = T._y2s(v2 * y1, y2_cap)
             got = T._cell_counts(B, v1, v2, y1, m, roots, y2s).tolist()
             assert got == oracle_counts(B, v1, v2, y1, m, roots, y2s), (v1, v2, y1)

@@ -558,8 +558,7 @@ def _bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-# B_0, ..., B_20: the endpoint expansion below reads them up to B_13, the
-# Euler-Maclaurin tails of ``zeta`` up to B_20
+# B_0, ..., B_20: the endpoint expansion reads up to B_13, ``zeta`` up to B_20
 BERNOULLI = _bernoulli_numbers(20)
 
 _T_SERIES_J = 8
@@ -571,26 +570,32 @@ _BERN_POLY = {
 }
 
 
-def _bern_frac(k, fr):
-    """Bernoulli polynomial B_k at the fractional parts ``fr``, by Horner in place."""
-    coeffs = _BERN_POLY[k]
-    out = np.full_like(fr, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        out *= fr
-        out += c
+def _bern_rows(fr):
+    """B_j(fr) for j = 2 .. _T_SERIES_J on a new first axis, by Horner in fr."""
+    out = np.empty((_T_SERIES_J - 1, *fr.shape))
+    for k, row in enumerate(out, 2):
+        coeffs = _BERN_POLY[k]
+        row[...] = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            row *= fr
+            row += c
     return out
 
 
-def _T_tail(tau):
+def _T_tail(tau, bern):
     """T(tau) = F(tau) - 1/(4 tau^2) by its asymptotic series; needs tau >= 16.
 
-    Truncation error is below tau^-9 / 60 (~3e-16 at tau = 32).
+    -(u^3 / 2) sum_j B_j(frac(tau)) u^(j-2) by Horner in u = 1/tau, with
+    ``bern`` the rows B_j(frac(tau)), broadcasting against tau.  Truncation
+    error is below tau^-9 / 60 (~3e-16 at tau = 32).
     """
-    fr = tau - np.floor(tau)
-    s = np.zeros_like(tau)
-    for j in range(2, _T_SERIES_J + 1):
-        s += _bern_frac(j, fr) / tau ** (j + 1)
-    return -0.5 * s
+    u = 1 / tau
+    s = bern[-1] * u
+    for b in bern[-2:0:-1]:
+        s += b
+        s *= u
+    s += bern[0]
+    return -0.5 * u * u * u * s
 
 
 def _gl_sum(f, a, b):
@@ -660,42 +665,43 @@ _EM_EDGE = 16  # integer margin kept away from both ends in the endpoint expansi
 _EM_DEPTH = 5  # integration-by-parts depth
 
 
-def _em_boundary_terms(j: int):
-    """Symbolic d-th derivatives of G_j(tau) = tau^(4-j) (1-(tau/C)^4)^(-1/2).
-
-    Terms are dicts {(q, h, e): coef} meaning coef * tau^q * (1-z)^(-(h+1/2))
-    / C^(4e) with z = (tau/C)^4.  Returns the list of term-dicts for
-    d = 0 .. _EM_DEPTH-1.
+def _em_boundary_terms() -> dict:
+    """The middle's boundary terms as {(q, h): coef}, meaning coef * tau^q *
+    (1-z)^(-(h+1/2)) / C^(4h) with z = (tau/C)^4: the sum over j = 2 ..
+    _T_SERIES_J and d < _EM_DEPTH of -(-1)^d B_(j+1+d) / (2 (j+1)...(j+1+d))
+    times the d-th derivative of G_j(tau) = tau^(4-j) (1-z)^(-1/2).
     """
-    terms = {(4 - j, 0, 0): 1.0}
-    out = [terms]
-    for _ in range(_EM_DEPTH - 1):
-        nxt: dict = {}
-        for (q, h, e), cf in terms.items():
-            if q != 0:
-                key = (q - 1, h, e)
-                nxt[key] = nxt.get(key, 0.0) + cf * q
-            key = (q + 3, h + 1, e + 1)
-            nxt[key] = nxt.get(key, 0.0) + cf * 4 * (h + 0.5)
-        out.append(nxt)
-        terms = nxt
-    return out
+    out: dict = {}
+    for j in range(2, _T_SERIES_J + 1):
+        terms, scale = {(4 - j, 0): 1.0}, -0.5
+        for d in range(_EM_DEPTH):
+            scale /= j + 1 + d
+            for key, cf in terms.items():
+                out[key] = out.get(key, 0.0) + scale * float(BERNOULLI[j + 1 + d]) * cf
+            scale = -scale
+            nxt: dict = {}
+            for (q, h), cf in terms.items():
+                nxt[q - 1, h] = nxt.get((q - 1, h), 0.0) + cf * q
+                nxt[q + 3, h + 1] = nxt.get((q + 3, h + 1), 0.0) + cf * (4 * h + 2)
+            terms = nxt
+    return {key: cf for key, cf in out.items() if cf}
 
 
-_EM_TERMS = {j: _em_boundary_terms(j) for j in range(2, _T_SERIES_J + 1)}
+_EM_TERMS = _em_boundary_terms()
 
 
-def _em_eval_terms(terms, tau, C):
-    """Evaluate a symbolic derivative term list elementwise (tau, C arrays)."""
-    z = (tau / C) ** 4
-    om = 1.0 - z
-    total = np.zeros_like(np.asarray(tau, dtype=np.float64) * np.asarray(C, dtype=np.float64))
-    for (q, h, e), cf in terms.items():
-        total += cf * tau**q * om ** -(h + 0.5) * C ** (-4.0 * e)
+def _em_eval_terms(tau, C):
+    """The merged boundary terms at tau (array or scalar), elementwise in C."""
+    om = 1.0 - (tau / C) ** 4
+    total = np.zeros_like(C)
+    for (q, h), cf in _EM_TERMS.items():
+        total += cf * tau**q * om ** -(h + 0.5) * C ** (-4.0 * h)
     return total
 
 
 _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
+_GL12_OFFSETS = 0.5 * (_GL12_X + 1.0)  # the nodes on [0, 1]
+_GL12_BERN = _bern_rows(_GL12_OFFSETS)
 
 _Q_HEAD = None  # moments int_0^edge tau^(5+4k) T(tau) dtau, k = 0..3
 
@@ -703,16 +709,11 @@ _Q_HEAD = None  # moments int_0^edge tau^(5+4k) T(tau) dtau, k = 0..3
 def _head_moments():
     global _Q_HEAD
     if _Q_HEAD is None:
-        qs = []
-        for k in range(4):
-            acc = 0.0
-            for n in range(_EM_EDGE):
-                acc += _gl_sum(
-                    lambda t, k=k: t ** (5 + 4 * k) * (_F_frac_tail(t) - 0.25 / t**2),
-                    n, n + 1,
-                )
-            qs.append(acc)
-        _Q_HEAD = np.array(qs)
+        _Q_HEAD = np.array([
+            sum(_gl_sum(lambda t: t ** (5 + 4 * k) * (_F_frac_tail(t) - 0.25 / t**2), n, n + 1)
+                for n in range(_EM_EDGE))
+            for k in range(4)
+        ])
     return _Q_HEAD
 
 
@@ -722,8 +723,10 @@ def _dint_em_batch(Cs: np.ndarray) -> np.ndarray:
     dint = 1 + (8/C^4) * int_0^C tau^5 (1-(tau/C)^4)^(-1/2) T(tau) dtau.
     Head [0, edge]: (1-z)^(-1/2) expanded in z, leaving C-independent moments.
     Middle [edge, C-edge]: repeated integration by parts against periodic
-    Bernoulli polynomials; only boundary terms survive at machine level.
-    Tail band [C-edge, C]: unit-interval quadrature, last interval regularized.
+    Bernoulli polynomials; only boundary terms survive at machine level
+    (_EM_TERMS).  Tail band [C-edge, C]: unit-interval quadrature, B_j(frac)
+    from the table at the nodes' fixed offsets; the last interval is
+    regularized and computes its fractional parts.
     """
     C = Cs.astype(np.float64)
     a = float(_EM_EDGE)
@@ -734,36 +737,20 @@ def _dint_em_batch(Cs: np.ndarray) -> np.ndarray:
     # tail band: sigma = C - tau in [1, edge] by unit intervals
     tail = np.zeros_like(C)
     for k in range(1, _EM_EDGE):
-        lo = C - k - 1
-        nodes = lo[:, None] + 0.5 * (_GL12_X[None, :] + 1.0)
-        z = (nodes / C[:, None]) ** 4
-        vals = nodes**5 / np.sqrt(1 - z) * _T_tail(nodes)
-        tail += 0.5 * vals @ _GL12_W
+        nodes = (C - k - 1)[:, None] + _GL12_OFFSETS
+        n2, r2 = nodes * nodes, (nodes / C[:, None]) ** 2
+        vals = n2 * n2 * nodes / np.sqrt(1 - r2 * r2) * _T_tail(nodes, _GL12_BERN)
+        tail += 0.5 * (vals @ _GL12_W)
     # last interval [C-1, C]: 1 - z = w^2 gives (C^6/2) sqrt(1-w^2) dw
     w1 = np.sqrt(-np.expm1(4 * np.log1p(-1.0 / C)))
     half = 0.5 * w1
-    wn = half[:, None] * (_GL12_X[None, :] + 1.0)
+    wn = w1[:, None] * _GL12_OFFSETS
     taun = C[:, None] * (1 - wn * wn) ** 0.25
-    vals = np.sqrt(1 - wn * wn) * _T_tail(taun)
+    vals = np.sqrt(1 - wn * wn) * _T_tail(taun, _bern_rows(taun - np.floor(taun)))
     tail += (C**6 / 2) * half * (vals @ _GL12_W)
 
     # middle: boundary terms at tau = edge and tau = C - edge
-    b = C - a
-    mid = np.zeros_like(C)
-    for j in range(2, _T_SERIES_J + 1):
-        val = np.zeros_like(C)
-        den = 1.0
-        sign = 1.0
-        for d in range(_EM_DEPTH):
-            den *= j + 1 + d
-            Bk = float(BERNOULLI[j + 1 + d])
-            if Bk:
-                terms = _EM_TERMS[j][d]
-                val += (sign / den * Bk) * (
-                    _em_eval_terms(terms, b, C) - _em_eval_terms(terms, np.full_like(C, a), C)
-                )
-            sign = -sign
-        mid += -0.5 * val
+    mid = _em_eval_terms(C - a, C) - _em_eval_terms(a, C)
     return 1.0 + (8 / C**4) * (head + mid + tail)
 
 

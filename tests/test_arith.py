@@ -237,13 +237,27 @@ def scalar_dint_direct(C):
     return total + 2 * gl(lambda w: A._I_inner(C * (1 - w * w) ** 0.25), 0.0, w1)
 
 
-def oracle_inner(a, mp):
-    """I(A) = 2 A^2 F(A) in mpmath, with the tail of F from the Hurwitz zeta:
+def oracle_frac_tail(a, mp):
+    """F(A) = int_A^inf frac(s) s^-3 ds in mpmath, with its tail from the Hurwitz zeta:
     F(A) = int_A^(M+1) (s - M) s^-3 ds + 1/(2(M+1)) - zeta(2, M+2)/2, M = floor(A)."""
     a = mp.mpf(a)
     M = mp.floor(a)
     head = (1 / a - 1 / (M + 1)) - M / 2 * (1 / a**2 - 1 / (M + 1) ** 2)
-    return 2 * a * a * (head + 1 / (2 * (M + 1)) - mp.zeta(2, M + 2) / 2)
+    return head + 1 / (2 * (M + 1)) - mp.zeta(2, M + 2) / 2
+
+
+def oracle_inner(a, mp):
+    """I(A) = 2 A^2 F(A) in mpmath."""
+    a = mp.mpf(a)
+    return 2 * a * a * oracle_frac_tail(a, mp)
+
+
+def assert_T_tail(tau, got, mp):
+    """got is T(tau) = F(tau) - 1/(4 tau^2) within the series' truncation
+    bound tau^-9/60 plus 1e-13 / tau^3 for rounding."""
+    exact = float(oracle_frac_tail(tau, mp) - 1 / (4 * mp.mpf(tau) ** 2))
+    t = float(tau)
+    assert abs(got - exact) <= t**-9 / 60 + 1e-13 / t**3, tau
 
 
 class TestDoubleIntegral:
@@ -267,6 +281,28 @@ class TestDoubleIntegral:
         with mp.workdps(40):
             for a, v in zip(A_values, got):
                 assert abs(v - float(oracle_inner(a, mp))) < 1e-10, a
+
+    def test_T_tail_at_computed_fractions(self):
+        # the last interval of the endpoint expansion: float nodes, B_j at
+        # their computed fractional parts
+        mp = pytest.importorskip("mpmath")
+        taus = np.concatenate((np.geomspace(16.0, 1e6, 301), [16.25, 31.999, 257.5, 999999.75]))
+        got = A._T_tail(taus, A._bern_rows(taus - np.floor(taus)))
+        with mp.workdps(50):
+            for tau, v in zip(taus.tolist(), got.tolist()):
+                assert_T_tail(tau, v, mp)
+
+    def test_T_tail_from_the_table(self):
+        # the tail band: integer plus a fixed Gauss-Legendre offset, B_j from
+        # the table at the offsets, so the oracle takes the exact node
+        # n + offset (the float node can be 1e-10 off near 10^6)
+        mp = pytest.importorskip("mpmath")
+        ns = [16, 17, 100, 240, 255, 256, 1000, 4095, 65536, 999983, 999999]
+        got = A._T_tail(np.array(ns, dtype=np.float64)[:, None] + A._GL12_OFFSETS, A._GL12_BERN)
+        with mp.workdps(50):
+            for n, row in zip(ns, got.tolist()):
+                for offset, v in zip(A._GL12_OFFSETS.tolist(), row):
+                    assert_T_tail(n + mp.mpf(offset), v, mp)
 
     def test_grouped_direct_matches_scalar(self):
         Cs = np.arange(1, A._DINT_CROSSOVER + 1)

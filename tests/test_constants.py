@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from delpezzo import constants as C
+from delpezzo.arith import chi, primes_up_to
 from delpezzo.errors import SizeCapError, ToleranceError
 
 
@@ -52,6 +53,17 @@ class TestAlpha:
         assert C.simplex_volume((4, 2, 3)) == Fraction(1, 144)
 
 
+def scalar_tau_factor(p: int) -> float:
+    """The local factor of tau as a scalar float expression (the oracle
+    of the numpy factors)."""
+    x = chi(p)
+    return (
+        (1 - 1 / p) ** 4
+        * (1 - x / p) ** 2
+        * (1 + (3 + 2 * x + x * x) / p + (x * x) / (p * p))
+    )
+
+
 class TestEulerProduct:
     def test_factor_at_2(self):
         assert C.tau_factor_exact(2) == Fraction(5, 32)
@@ -68,6 +80,17 @@ class TestEulerProduct:
     def test_cutoff_floor(self):
         with pytest.raises(ValueError):
             C.tamagawa_euler_product(10)
+
+    def test_product_is_the_scalar_loop(self):
+        # bit for bit; numpy's ** in place of np.float_power breaks this on
+        # AVX-512 CPUs.  past_block has one prime past a block.
+        past_block = int(primes_up_to(10**6)[C._EULER_BLOCK])
+        assert len(primes_up_to(past_block)) == C._EULER_BLOCK + 1
+        for cutoff in (100, 10**4, past_block, 10**6):
+            total = 1.0
+            for p in primes_up_to(cutoff).tolist():
+                total *= scalar_tau_factor(p)
+            assert C.tamagawa_euler_product(cutoff)[0] == total, cutoff
 
 
 class TestLocalDensities:

@@ -139,11 +139,28 @@ class TestEulerFactors:
         assert fine < coarse
 
 
+def scalar_residual_factor(p: int) -> float:
+    """The factor of H(0) at an odd prime as a scalar float expression (the
+    oracle of the numpy factors)."""
+    x = A.chi(p)
+    return (1 - 1 / p) ** 4 * (1 - x / p) ** 2 * (1 + (4 + 2 * x) / p + 1 / (p * p))
+
+
 class TestResidualProduct:
     def test_p2_factor(self):
         v100, _ = Z.residual_product_at_zero(100)
         # /5/32 times the odd factors; the p = 2 factor alone:
         assert abs(5 / 32 - 0.15625) == 0
+
+    def test_product_is_the_scalar_loop(self):
+        # bit for bit, as for tau; past_block has one odd prime past a block
+        past_block = int(A.primes_up_to(10**6)[C._EULER_BLOCK + 1])
+        assert len(A.primes_up_to(past_block)[1:]) == C._EULER_BLOCK + 1
+        for cutoff in (100, 10**4, past_block, 10**6):
+            total = 5 / 32
+            for p in A.primes_up_to(cutoff)[1:].tolist():
+                total *= scalar_residual_factor(p)
+            assert Z.residual_product_at_zero(cutoff)[0] == total, cutoff
 
     def test_equals_euler_product(self):
         h0, _ = Z.residual_product_at_zero(10**5)

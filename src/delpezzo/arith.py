@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import DelPezzoError, ToleranceError
+from .errors import DelPezzoError, SizeCapError
 
 # ---------------------------------------------------------------------------
 # sieve and factorization
@@ -148,33 +147,6 @@ def chi(n: int) -> int:
 @lru_cache(maxsize=1 << 17)
 def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(factorize(n).items()))
-
-
-@dataclass(frozen=True)
-class MultiplicativeProfile:
-    n: int
-    factorization: tuple[tuple[int, int], ...]
-    mu: int
-    phi: int
-    omega: int
-    chi: int
-
-
-def profile(n: int) -> MultiplicativeProfile:
-    """Factorization of ``n`` with the derived multiplicative values."""
-    fac = factorize(n)
-    mu = 0 if any(e >= 2 for e in fac.values()) else (-1) ** len(fac)
-    phi = 1
-    for p, e in fac.items():
-        phi *= (p - 1) * p ** (e - 1)
-    return MultiplicativeProfile(
-        n=n,
-        factorization=tuple(sorted(fac.items())),
-        mu=mu,
-        phi=phi,
-        omega=len(fac),
-        chi=chi(n),
-    )
 
 
 def mobius(n: int) -> int:
@@ -795,17 +767,14 @@ def fractional_part_double_integral(C: int) -> float:
     return _DINT_CACHE[C]
 
 
-def _dint_error_bound(C: int) -> float:
-    """Conservative absolute error estimate for fractional_part_double_integral."""
-    return 5e-8 if C > _DINT_CROSSOVER else 1e-9 * max(1, C // 16 + 1)
-
-
 # ---------------------------------------------------------------------------
 # the secondary-term density and its summed constant
 #
-# A term of beta is pref(v1, v2, y1) * S(m) / m^2 with m = v1 v2 y1, and the
-# box is summed in numpy passes, with the roundings of the scalar loop over
-# (v2, y1, v1) and every term's product in ascending order of its primes:
+# A term of beta is pref(v1, v2, y1) * S(m) / m^2 with m = v1 v2 y1 and
+# S(m) = sum over squarefree k0 | m of mu(k0) dint(m/k0).  The box of terms
+# with v1, v2, y1 <= cutoff and v2 squarefree is summed in numpy passes, with
+# the roundings of the scalar loop over (v2, y1, v1) and every term's product
+# in ascending order of its primes:
 #
 #   eta    eta(v2 y1^2) over the (v2, y1) grid, exact int64 from the primes
 #          up to the cutoff (_eta_grid).
@@ -821,11 +790,11 @@ def _dint_error_bound(C: int) -> float:
 #          np.add.accumulate (np.sum would add pairwise), in blocks of whole
 #          (v2, y1) rows of at most _BETA_BLOCK terms, so no temporary
 #          exceeds about 128 KB however large the box.
-#
-# The single-triple density runs the same functions on its own primes, so a
-# term of the box equals linear_term_density(v1, v2, y1) / m^2 bit for bit.
 
-_LINEAR_DENSITY_TOL = 1e-6  # largest error bound linear_term_density accepts
+# Largest cutoff of the beta box.  Its time grows about like cutoff^2.7 and
+# its memory with the number of moduli: at the cap it takes 9-10 s and a
+# peak RSS of 172 MB on a shared 2-CPU Xeon.
+BETA_CUTOFF_CAP = 400
 _BETA_BLOCK = 1 << 14  # terms per block of the beta sum: 128 KB of float64
 
 
@@ -847,7 +816,7 @@ def _eta_grid(v2, y1, primes) -> np.ndarray:
 
 
 def _prefactors(eta, v2, y1, v1, primes) -> np.ndarray:
-    """The factor of linear_term_density before its Mobius-dint sum, as a
+    """The prefactor pref(v1, v2, y1) of a beta term, as a
     (pairs, len(v1)) float64 array: row i is the pair (v2[i], y1[i]) with
     eta[i] = eta(v2 y1^2), column j is v1[j].  ``primes`` ascending, holding
     every prime of each v1 v2 y1."""
@@ -899,58 +868,23 @@ def _dints(keys: list[int]) -> np.ndarray:
     return np.fromiter(map(_DINT_CACHE.__getitem__, keys), dtype=np.float64, count=len(keys))
 
 
-def linear_term_density(v1: int, v2: int, y1: int) -> float:
-    """The integrated remainder density attached to (v1, v2, y1).
-
-    -(3/pi^2) * eta(v2*y1^2)
-      * prod over p | v1*v2 of (1 - chi(p)/p)
-      * prod over p | v1*v2*y1 of (1 + 1/p)^(-1)
-      * sum over squarefree k0 | v1*v2*y1 of mu(k0) * dint(v1*v2*y1/k0).
-
-    Returns 0 whenever eta(v2*y1^2) = 0.
-    """
-    val, err = linear_term_density_with_error(v1, v2, y1)
-    if err > _LINEAR_DENSITY_TOL:
-        raise ToleranceError(
-            f"secondary density quadrature reached {err:.2e} > {_LINEAR_DENSITY_TOL:.2e}",
-            achieved=err,
-        )
-    return val
-
-
-def linear_term_density_with_error(v1: int, v2: int, y1: int) -> tuple[float, float]:
-    if min(v1, v2, y1) < 1:
-        raise ValueError("arguments must be positive")
-    m = v1 * v2 * y1
-    if m >= 1 << 63:
-        raise ValueError("v1*v2*y1 must be below 2^63")
-    primes = sorted({p for n in (v1, v2, y1) for p, _ in _factor_pairs(n)})
-    eta = _eta_grid([v2], [y1], primes)[0]
-    if eta[0] == 0:
-        return 0.0, 0.0
-    pref = float(_prefactors(eta, [v2], [y1], [v1], primes)[0, 0])
-    divisors = [m // k0 for k0, _ in _squarefree_divisors_of_primes(primes)]
-    keys = sorted(divisors)
-    s = float(_mobius_dint_sums(np.array([m]), primes, np.array(keys), _dints(keys))[0])
-    err = sum(_dint_error_bound(C) for C in divisors)
-    return pref * s, abs(pref) * err
-
-
 def linear_term_constant(cutoff: int) -> tuple[float, float]:
     """Partial sum of the secondary linear-term constant with a crude tail bound.
 
-    Sums |mu(v2)| * linear_term_density(v1, v2, y1) / (v1 v2 y1)^2 over
+    Sums |mu(v2)| * pref(v1, v2, y1) * S(m) / m^2, m = v1*v2*y1, over
     v1, v2, y1 <= cutoff in the numpy passes of the section comment above:
     S(m) once per distinct m = v1*v2*y1, and the terms added left to right
     in the order (v2, y1, v1), bit for bit as a scalar loop would.  The tail
     estimate uses the termwise bound
-    |density| <= (6/pi^2) * 2^omega(v2*y1) * 2^omega(v1*v2*y1)
+    |pref * S(m)| <= (6/pi^2) * 2^omega(v2*y1) * 2^omega(v1*v2*y1)
     (eta and the divisor sum bounded crudely, each dint factor by 2), summed
     outside the box via sum_{n>V} d(n)/n^2 <= (ln V + 3)/V and
     sum_n 4^omega(n)/n^2 = prod_p (1 + 4/(p^2-1)) <= 5.1.
     """
     if cutoff < 1:
         raise ValueError("cutoff >= 1 required")
+    if cutoff > BETA_CUTOFF_CAP:
+        raise SizeCapError(f"beta cutoff exceeds the cap {BETA_CUTOFF_CAP}")
     primes = primes_up_to(cutoff).tolist()
     n = np.arange(1, cutoff + 1, dtype=np.int64)
     eta = _eta_grid(n, n, primes)

@@ -305,10 +305,10 @@ def _cmd_zeta(cfg: argparse.Namespace) -> tuple[int, list[dict]]:
     for p in cfg.primes:
         rows.append({"name": f"euler_factor_p{p}", "argument": s,
                      "value": zeta.euler_factor(p, s), "error": 0.0})
-    h0, h0t = zeta.residual_product_at_zero(cfg.prime_cutoff)
+    h0 = zeta.residual_product_at_zero(cfg.prime_cutoff)
     rows.append({"name": "residual_product_at_0", "argument": 0.0,
-                 "value": h0, "error": h0t})
-    g1, g1e = zeta.leading_factor_at_one(cfg.prime_cutoff)
+                 "value": h0[0], "error": h0[1]})
+    g1, g1e = zeta.leading_factor_at_one(h0)
     rows.append({"name": "leading_factor_at_1", "argument": 1.0,
                  "value": g1, "error": g1e})
     return EXIT_OK, rows

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import BERNOULLI, chi, primes_up_to
-from .constants import ordered_product
+from .constants import euler_primes, ordered_product
 from .errors import DelPezzoError, SizeCapError
 
 # Bernoulli numbers B_2, B_4, ..., B_20
@@ -34,7 +34,6 @@ class SeriesEval:
     argument: float
     value: float
     error: float
-    terms_or_primes: int
 
 
 def _hurwitz_tail_terms(s: float, Na: float, J: int):
@@ -53,29 +52,24 @@ def _hurwitz_tail_terms(s: float, Na: float, J: int):
     return terms, bound
 
 
-def hurwitz_zeta(s: float, a: float) -> SeriesEval:
-    """zeta(s, a) = sum_{n >= 0} (n+a)^(-s) for real s > 1, 0 < a <= 1.
+def zeta_real(s: float) -> SeriesEval:
+    """Riemann zeta at real s > 1 with a certified error bound.
 
     Euler-Maclaurin with the remainder bounded by the first omitted
     correction term (valid for the completely monotone integrand).
     """
     if s <= 1:
-        raise DelPezzoError("hurwitz_zeta requires s > 1")
+        raise DelPezzoError("zeta_real requires s > 1")
     J = 6
     for N in (16, 32, 64, 128, 256, 512):
-        Na = N + a
+        Na = N + 1.0
         _, bound = _hurwitz_tail_terms(s, Na, J)
         if bound <= _SERIES_TOL / 2:
             break
-    head = sum((n + a) ** (-s) for n in range(N))
+    head = sum((n + 1.0) ** (-s) for n in range(N))
     mid = Na ** (1 - s) / (s - 1) + 0.5 * Na ** (-s)
     terms, bound = _hurwitz_tail_terms(s, Na, J)
-    return SeriesEval(s, head + mid + sum(terms), bound + 1e-15, N)
-
-
-def zeta_real(s: float) -> SeriesEval:
-    """Riemann zeta at real s > 1 with a certified error bound."""
-    return hurwitz_zeta(s, 1.0)
+    return SeriesEval(s, head + mid + sum(terms), bound + 1e-15)
 
 
 def l_chi_real(s: float) -> SeriesEval:
@@ -108,7 +102,25 @@ def l_chi_real(s: float) -> SeriesEval:
     t1, b1 = _hurwitz_tail_terms(s, na, J)
     t2, b2 = _hurwitz_tail_terms(s, nb, J)
     val = head + 4.0 ** (-s) * (mid + sum(t1) - sum(t2))
-    return SeriesEval(s, val, 4.0 ** (-s) * (b1 + b2) + 1e-15, N)
+    return SeriesEval(s, val, 4.0 ** (-s) * (b1 + b2) + 1e-15)
+
+
+def _product(s: float, factors) -> SeriesEval:
+    """prod f(x)^e over the (f, x, e) of ``factors``, multiplying by f(x)
+    e times for e > 0 and dividing -e times for e < 0, strictly in the order
+    given; each distinct f(x) is evaluated once, and the relative errors of
+    all the factors add up."""
+    evals = {}
+    val = 1.0
+    rel = 0.0
+    for f, x, e in factors:
+        if (f, x) not in evals:
+            evals[f, x] = f(x)
+        ev = evals[f, x]
+        for _ in range(abs(e)):
+            val = val * ev.value if e > 0 else val / ev.value
+            rel += ev.error / abs(ev.value)
+    return SeriesEval(s, val, abs(val) * rel)
 
 
 def main_zeta_product(s: float) -> SeriesEval:
@@ -117,18 +129,11 @@ def main_zeta_product(s: float) -> SeriesEval:
     """
     if s <= 1:
         raise DelPezzoError("main product requires s > 1 (pole at s = 1)")
-    z1 = zeta_real(2 * s - 1)
-    z2 = zeta_real(3 * s - 2)
-    z3 = zeta_real(4 * s - 3)
-    l1 = l_chi_real(2 * s - 1)
-    l2 = l_chi_real(3 * s - 2)
-    parts = (z1, z1, z2, z3, l1, l2)
-    val = 1.0
-    rel = 0.0
-    for p in parts:
-        val *= p.value
-        rel += p.error / abs(p.value)
-    return SeriesEval(s, val, abs(val) * rel, max(p.terms_or_primes for p in parts))
+    z, L = zeta_real, l_chi_real
+    return _product(s, (
+        (z, 2 * s - 1, 2), (z, 3 * s - 2, 1), (z, 4 * s - 3, 1),
+        (L, 2 * s - 1, 1), (L, 3 * s - 2, 1),
+    ))
 
 
 def correction_zeta_product(s: float) -> SeriesEval:
@@ -138,22 +143,12 @@ def correction_zeta_product(s: float) -> SeriesEval:
     """
     if s <= 5 / 6:
         raise DelPezzoError("correction product requires s > 5/6")
-    num = (zeta_real(9 * s - 6), l_chi_real(9 * s - 6))
-    den = (
-        zeta_real(5 * s - 3), zeta_real(5 * s - 3),
-        zeta_real(6 * s - 4), zeta_real(6 * s - 4),
-        l_chi_real(5 * s - 3),
-        l_chi_real(6 * s - 4), l_chi_real(6 * s - 4),
-    )
-    val = 1.0
-    rel = 0.0
-    for p in num:
-        val *= p.value
-        rel += p.error / abs(p.value)
-    for p in den:
-        val /= p.value
-        rel += p.error / abs(p.value)
-    return SeriesEval(s, val, abs(val) * rel, max(p.terms_or_primes for p in num + den))
+    z, L = zeta_real, l_chi_real
+    return _product(s, (
+        (z, 9 * s - 6, 1), (L, 9 * s - 6, 1),
+        (z, 5 * s - 3, -2), (z, 6 * s - 4, -2),
+        (L, 5 * s - 3, -1), (L, 6 * s - 4, -2),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +234,19 @@ def residual_product_at_zero(prime_cutoff: int = 10**6) -> tuple[float, float]:
     ``total *= factor(p)`` bit for bit.  The powers use np.float_power,
     which calls the libm pow of Python's float ** int, where numpy's ** and
     np.power may round differently (on 13% of the primes below 10^6 with
-    AVX-512).
+    AVX-512).  The cutoff is checked by euler_primes.
     """
-    if prime_cutoff < 100:
-        raise ValueError("prime_cutoff >= 100 required")
-    total = ordered_product(_residual_factors, primes_up_to(prime_cutoff)[1:], 5 / 32)
+    total = ordered_product(_residual_factors, euler_primes(prime_cutoff)[1:], 5 / 32)
     return total, abs(total) * math.expm1(11 / prime_cutoff)
 
 
-def leading_factor_at_one(prime_cutoff: int = 10**6) -> tuple[float, float]:
-    """G1(1) = 16 c H(0) / E2(1); necessarily nonzero (asserted positive)."""
+def leading_factor_at_one(residual: tuple[float, float]) -> tuple[float, float]:
+    """G1(1) = 16 c H(0) / E2(1), from the pair (H(0), error) that
+    residual_product_at_zero returns; necessarily nonzero (asserted positive)."""
     from .constants import real_density_integral
 
     c, c_err = real_density_integral()
-    h0, h0_err = residual_product_at_zero(prime_cutoff)
+    h0, h0_err = residual
     e2 = correction_zeta_product(1.0)
     val = 16 * c * h0 / e2.value
     rel = c_err / c + h0_err / h0 + e2.error / abs(e2.value)

@@ -7,7 +7,7 @@ import pytest
 
 from delpezzo import arith as A
 from delpezzo import torsor as T
-from delpezzo.errors import DelPezzoError
+from delpezzo.errors import DelPezzoError, SizeCapError
 
 
 def brute_eta(q):
@@ -30,12 +30,15 @@ def trial_division(n):
 
 class TestProfiles:
     def test_examples(self):
-        p12 = A.profile(12)
-        assert (p12.mu, p12.phi, p12.omega, p12.chi) == (0, 4, 2, 0)
-        p5 = A.profile(5)
-        assert (p5.mu, p5.phi, p5.omega, p5.chi) == (-1, 4, 1, 1)
-        p1 = A.profile(1)
-        assert (p1.mu, p1.phi, p1.omega, p1.chi) == (1, 1, 0, 1)
+        for n, values in ((12, (0, 4, 2, 0)), (5, (-1, 4, 1, 1)), (1, (1, 1, 0, 1))):
+            assert (A.mobius(n), A.euler_phi(n), len(A.factorize(n)), A.chi(n)) == values
+
+    def test_mobius_and_phi_by_brute_force(self):
+        for n in range(1, 2001):
+            fac = trial_division(n)
+            squarefree = all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
+            assert A.mobius(n) == ((-1) ** len(fac) if squarefree else 0), n
+            assert A.euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1), n
 
     def test_factorization_reconstructs(self, rng):
         for _ in range(200):
@@ -355,8 +358,8 @@ class TestDoubleIntegral:
 
 
 def scalar_prefactor(v1, v2, y1):
-    """The factor of linear_term_density before its Mobius-dint sum, as a
-    scalar product over the primes in ascending order."""
+    """The prefactor pref(v1, v2, y1) of a term of beta, as a scalar product
+    over the primes in ascending order."""
     eta = A.sqrt_minus_one_count(v2 * y1 * y1)
     p_v1v2 = sorted(set(trial_division(v1)) | set(trial_division(v2)))
     p_m = sorted(set(p_v1v2) | set(trial_division(y1)))
@@ -391,17 +394,19 @@ def box_moduli(V):
 
 class TestSecondaryDensity:
     def test_vanishing(self):
-        assert A.linear_term_density(1, 1, 2) == 0.0
-        assert A.linear_term_density(1, 3, 1) == 0.0
+        # eta(v2 y1^2) = 0 at (v2, y1) = (1, 2) and (3, 1), so their prefactors vanish
+        for v2, y1 in ((1, 2), (3, 1)):
+            eta = A._eta_grid([v2], [y1], [2, 3])[0]
+            assert A._prefactors(eta, [v2], [y1], [1], [2, 3])[0, 0] == 0.0
 
     def test_base_value_matches_oracle(self):
         c = math.gamma(1.25) * math.gamma(0.5) / (2 * math.gamma(1.75))
         oracle = -(3 / pi**2) * (4 * c - pi**3 / 12)
-        assert abs(A.linear_term_density(1, 1, 1) - oracle) < 1e-9
+        assert abs(A.linear_term_constant(1)[0] - oracle) < 1e-9
 
     def test_constant_single_term(self):
         v, tail = A.linear_term_constant(1)
-        assert abs(v - A.linear_term_density(1, 1, 1)) < 1e-12
+        assert v == scalar_prefactor(1, 1, 1) * scalar_mobius_dint_sum(1)
         assert tail > 0
 
     @pytest.mark.parametrize("cutoff, beta", [
@@ -412,19 +417,6 @@ class TestSecondaryDensity:
     ])
     def test_constant_pinned(self, cutoff, beta):
         assert abs(A.linear_term_constant(cutoff)[0] - beta) <= 1e-12 * abs(beta)
-
-    def test_constant_is_the_sum_of_densities(self):
-        V = 12
-        terms = [
-            A.linear_term_density(v1, v2, y1) / (v1 * v1 * v2 * v2 * y1 * y1)
-            for v2 in range(1, V + 1) if A.is_squarefree(v2)
-            for y1 in range(1, V + 1)
-            for v1 in range(1, V + 1)
-        ]
-        total = 0.0
-        for t in terms:  # in order, as the constant sums them
-            total += t
-        assert A.linear_term_constant(V)[0] == total
 
     def test_eta_grid(self):
         n = np.arange(1, 101)
@@ -450,7 +442,9 @@ class TestSecondaryDensity:
         pref = A._prefactors(eta, [v2], [y1], [v1], primes)[0, 0]
         assert pref == scalar_prefactor(v1, v2, y1) != 0
         m = v1 * v2 * y1
-        assert A.linear_term_density(v1, v2, y1) == pref * scalar_mobius_dint_sum(m)
+        keys = sorted(m // k0 for k0, _ in A.squarefree_divisors(m))
+        s = A._mobius_dint_sums(np.array([m]), primes, np.array(keys), A._dints(keys))
+        assert s.tolist() == [scalar_mobius_dint_sum(m)]
 
     def test_mobius_dint_sums(self):
         keys = np.array(box_moduli(100))
@@ -473,12 +467,6 @@ class TestSecondaryDensity:
                     total += scalar_prefactor(v1, v2, y1) * scalar_mobius_dint_sum(m) / (m * m)
         assert A.linear_term_constant(V)[0] == total
 
-    def test_modulus_past_int64(self):
-        with pytest.raises(ValueError):
-            A.linear_term_density_with_error(2**32, 2**31, 1)
-        with pytest.raises(ValueError):
-            A.linear_term_density(3, 2**62, 5)
-
     def test_constant_consistency(self):
         b20, tail20 = A.linear_term_constant(20)
         b40, _ = A.linear_term_constant(40)
@@ -490,6 +478,15 @@ class TestSecondaryDensity:
         assert abs(b100 - b200) <= tail100
         # the partial sums have long since settled to ~1e-4
         assert abs(b100 - b200) < 1e-3
+
+    def test_cutoff_cap(self, monkeypatch):
+        # the cap is checked before the sieve is built
+        def no_sieve(n):
+            raise AssertionError("sieved past the cap")
+
+        monkeypatch.setattr(A, "primes_up_to", no_sieve)
+        with pytest.raises(SizeCapError):
+            A.linear_term_constant(A.BETA_CUTOFF_CAP + 1)
 
     def test_tail_monotone(self):
         tails = [A.linear_term_constant(V)[1] for V in (5, 10, 20, 40)]

@@ -87,6 +87,18 @@ class TestExitCodes:
         # 101^4 is past the table count's cap on p^r
         assert run_cli(["densities", "--p", "101", "--rmax", "4"]).returncode == 3
 
+    @pytest.mark.parametrize("args", [
+        ["constants", "--prime-cutoff", "1000", "--beta-cutoff", "401"],
+        ["constants", "--prime-cutoff", "100000001"],
+        ["zeta", "--prime-cutoff", "100000001"],
+        ["decompose", "--beta-cutoff", "401"],
+    ])
+    def test_cutoff_caps(self, args):
+        # one past the cap of the beta box (400) or of an Euler product (10^8)
+        proc = run_cli([*args, "--no-timestamp"])
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("resource cap:") and "Traceback" not in proc.stderr
+
     def test_help(self):
         proc = run_cli(["--help"])
         assert proc.returncode == 0 and "usage" in proc.stdout.lower()

@@ -159,10 +159,6 @@ class TestBundle:
         assert abs(lead - peyre) <= 1e-12 * abs(lead) * 10
         assert lead > 0
 
-    def test_residue_display_differs_by_four_thirds(self):
-        c, tau = 0.874, 0.0388
-        assert abs(C.leading_coefficient(c, tau) / C.residue_display_coefficient(c, tau) - 4 / 3) < 1e-12
-
     def test_bundle_cross_identities(self):
         b = C.constant_bundle(prime_cutoff=10**4, quad_tol=1e-10, beta_cutoff=10)
         assert abs(b.omega_inf - 16 * b.c) <= 2e-10 + b.omega_inf_error + 16 * b.c_error

@@ -7,7 +7,7 @@ from delpezzo import arith as A
 from delpezzo import constants as C
 from delpezzo import torsor as T
 from delpezzo import zeta as Z
-from delpezzo.errors import DelPezzoError
+from delpezzo.errors import DelPezzoError, SizeCapError
 
 CATALAN = 0.9159655941772190150546
 
@@ -106,6 +106,32 @@ class TestCompositeProducts:
         with pytest.raises(DelPezzoError):
             Z.correction_zeta_product(0.8)
 
+    @pytest.mark.parametrize("s", [0.9, 1.0, 1.5, 2.0, 58.0])
+    def test_products_are_the_ordered_loops(self, s):
+        # bit for bit the factors multiplied, then divided, in the stated order
+        z, L = Z.zeta_real, Z.l_chi_real
+        if s > 1:
+            val = 1.0
+            for f, x in ((z, 2 * s - 1), (z, 2 * s - 1), (z, 3 * s - 2), (z, 4 * s - 3),
+                         (L, 2 * s - 1), (L, 3 * s - 2)):
+                val *= f(x).value
+            assert Z.main_zeta_product(s).value == val
+        val = z(9 * s - 6).value * L(9 * s - 6).value
+        for f, x in ((z, 5 * s - 3), (z, 5 * s - 3), (z, 6 * s - 4), (z, 6 * s - 4),
+                     (L, 5 * s - 3), (L, 6 * s - 4), (L, 6 * s - 4)):
+            val /= f(x).value
+        assert Z.correction_zeta_product(s).value == val
+
+    @pytest.mark.parametrize("s, calls", [(2.0, 6), (1.0, 4)])
+    def test_each_distinct_factor_evaluated_once(self, s, calls, monkeypatch):
+        # at s = 1, 5s - 3 = 6s - 4 = 2
+        seen = []
+        for name in ("zeta_real", "l_chi_real"):
+            f = getattr(Z, name)
+            monkeypatch.setattr(Z, name, lambda x, f=f: seen.append(x) or f(x))
+        Z.correction_zeta_product(s)
+        assert len(seen) == calls
+
     def test_relative_errors_propagate_subadditively(self):
         s = 2.0
         e1 = Z.main_zeta_product(s)
@@ -168,15 +194,25 @@ class TestResidualProduct:
         assert abs(h0 - tau) <= 1e-12
 
     def test_leading_factor_positive(self):
-        g1, err = Z.leading_factor_at_one(10**4)
+        g1, err = Z.leading_factor_at_one(Z.residual_product_at_zero(10**4))
         assert g1 > 0 and err > 0
 
     def test_rearranged_identity(self):
-        g1, _ = Z.leading_factor_at_one(10**4)
+        h0 = Z.residual_product_at_zero(10**4)
+        g1, _ = Z.leading_factor_at_one(h0)
         e2 = Z.correction_zeta_product(1.0).value
         c, _ = C.real_density_integral(1e-12)
-        h0, _ = Z.residual_product_at_zero(10**4)
-        assert abs(g1 * e2 - 16 * c * h0) <= 1e-9
+        assert abs(g1 * e2 - 16 * c * h0[0]) <= 1e-9
+
+    def test_cutoff_cap(self, monkeypatch):
+        # the cap is checked before the sieve is built
+        def no_sieve(n):
+            raise AssertionError("sieved past the cap")
+
+        monkeypatch.setattr(C, "primes_up_to", no_sieve)
+        for product in (Z.residual_product_at_zero, C.tamagawa_euler_product):
+            with pytest.raises(SizeCapError):
+                product(C.PRIME_CUTOFF_CAP + 1)
 
 
 class TestDecomposition:
@@ -194,7 +230,5 @@ class TestDecomposition:
             assert abs(r["residual"]) < 0.1 * r["n_uh"]
 
     def test_cap_propagates(self):
-        from delpezzo.errors import SizeCapError
-
         with pytest.raises(SizeCapError):
             Z.count_decomposition([10**9 + 1])

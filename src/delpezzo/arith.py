@@ -54,7 +54,17 @@ def primes_up_to(n: int) -> np.ndarray:
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p:: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    return np.flatnonzero(sieve)
+
+
+def mobius_sieve(n: int) -> np.ndarray:
+    """mu[j] = mu(j) for 0 <= j <= n, with mu[0] = 0."""
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in primes_up_to(n).tolist():
+        mu[::p] *= -1
+        mu[::p * p] = 0
+    return mu
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -147,11 +157,6 @@ def chi(n: int) -> int:
 @lru_cache(maxsize=1 << 17)
 def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(factorize(n).items()))
-
-
-def mobius(n: int) -> int:
-    fac = _factor_pairs(n)
-    return 0 if any(e >= 2 for _, e in fac) else (-1) ** len(fac)
 
 
 @lru_cache(maxsize=1 << 17)
@@ -367,11 +372,6 @@ def best_rational_approx(b: int, q: int, rho: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # local density weights for the fast counter
 
-def _check_side_conditions(v2: int, y1: int, y2: int) -> bool:
-    """Squarefree v2 and gcd(y2, v2*y1) = 1; weights vanish otherwise."""
-    return is_squarefree(v2) and gcd(y2, v2 * y1) == 1
-
-
 def residue_density(v1: int, v2: int, y1: int, y2: int) -> Fraction:
     """Exact density weight of admissible residues for fixed (v1, v2, y1, y2).
 
@@ -383,7 +383,7 @@ def residue_density(v1: int, v2: int, y1: int, y2: int) -> Fraction:
     """
     if min(v1, v2, y1, y2) < 1:
         raise ValueError("arguments must be positive")
-    if not _check_side_conditions(v2, y1, y2):
+    if not (is_squarefree(v2) and gcd(y2, v2 * y1) == 1):
         return Fraction(0)
     eta = sqrt_minus_one_count_of_product(((v2, 1), (y1, 2)))
     if eta == 0:

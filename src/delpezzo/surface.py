@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import iroot4
+from .arith import iroot4, mobius_sieve
 from .errors import InvalidPointError, NotInDomainError, SizeCapError
 
 NAIVE_CAP = 30
@@ -199,9 +199,7 @@ def _coprime_pairs(n: int) -> int:
     """#{(a, b) in [1, n]^2 : gcd(a, b) = 1} by Mobius inversion."""
     if n <= 0:
         return 0
-    from .arith import mobius
-
-    return sum(mobius(d) * (n // d) ** 2 for d in range(1, n + 1))
+    return int((mobius_sieve(n)[1:] * (n // np.arange(1, n + 1)) ** 2).sum())
 
 
 @dataclass(frozen=True)

@@ -12,34 +12,31 @@ x3 = v1^2 v2 y2 y3, x4 = y4.  Height <= B becomes the pair of inequalities
 v1^4 v2^3 y1^2 y2^2 <= B and y0^4 y2^2 + y3^2 <= B v2 y1^2, which the counter
 enumerates directly.  The map and its inverse are implemented exactly.
 
-The counter walks the cells (v1, v2, y1, y2) in the order (v1, v2, y1, y2);
-counting, enumeration and the partial sum of the main-term coefficients
-Delta(n) share that one walk, which also comes grouped by (v1, v2, y1), and
-the parallel count deals the groups out once, every W-th group to each of
-W shares.  The walk lists no roots; the kernels look up the roots of -1
-modulo m once per group.  In a cell, with m = v2 y1^2 and w = y0^2 y2, the
-equation reads w^2 + y3^2 = m y4, so y3 = rho w (mod m) for a square root
-rho of -1 modulo m.  The equation and every coprimality condition depend
-on y3 only through y3^2 and gcds, so they hold for y3 iff they hold for
--y3; and -y3 = (m - rho) w (mod m).  So for m > 2, where the roots come in
-pairs rho, m - rho, each pair gives one arithmetic progression
-y3 = s + k m, 0 <= k < K, over -Y3 <= y3 <= Y3 (y3 = 0 is never in it),
-whose points are those of both roots over 1 <= y3 <= Y3; for m <= 2 the one
-root gives one progression over 1 <= y3 <= Y3.  Every coprimality
-condition on y3 and y4 is a congruence on k, so the counter counts each
-progression by floor sums: it excludes, by inclusion-exclusion and the CRT,
-at most one or two classes of k modulo each prime of y2 v1 v2, and a class
-k = c (mod Q) holds (K - c + Q - 1) // Q of the k.  One numpy pass does
-this for all cells of a group.  The enumeration lays the progressions of a
-cell out as a ragged arange (``np.repeat`` with ``cumsum`` offsets), in
-blocks of about 2^14 candidates so that memory stays bounded, yields |y3|
-and tests both coprimality conditions by lookup in masks over the radicals
-rad(y2) and rad(v1 v2); it is also the counter's oracle.
+The counter walks the cells (v1, v2, y1, y2) in that order, grouped by
+(v1, v2, y1); counting, enumeration and the partial sum of the main-term
+coefficients Delta(n) share the walk.  A cell needs a root of -1 modulo
+m = v2 y1^2: v2 squarefree and y1 odd, neither with a prime = 3 (mod 4),
+which sieves to isqrt(B) list.  The parallel count deals every W-th
+group to each of W shares, and the roots of -1 mod m are looked up once per
+group.  With w = y0^2 y2 the equation reads w^2 + y3^2 = m y4, so
+y3 = rho w (mod m) for a root rho, and each pair rho, m - rho gives one
+progression y3 = s + k m, 0 <= k < K, over -Y3 <= y3 <= Y3
+(``_progressions``).  Every coprimality condition on y3 and y4 is a
+congruence on k, so the counter visits no candidate: it counts each
+progression by floor sums, a Mobius sum over the squarefree d | y2 from one
+divisor table per count, less one or two classes of k per prime of v1 v2,
+merged by the CRT into k = c (mod Q), which holds (K - c + Q - 1) // Q of
+the k.  One numpy pass counts all cells of a group, its terms ordered by
+cell, then by d, then by progression.  The enumeration kernel
+``_cell_blocks``, the counter's oracle, lays a cell's progressions out in
+blocks of about 2^14 candidates and tests both conditions by lookup in
+masks over rad(y2) and rad(v1 v2).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import gcd, isqrt, prod
@@ -48,8 +45,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .arith import (
-    _tonelli_sqrt_minus_one, cell_density, factorize, is_squarefree,
-    sqrt_minus_one_count, sqrts_minus_one, squarefree_divisors, squarefree_part,
+    _tonelli_sqrt_minus_one, cell_density, factorize, is_squarefree, mobius_sieve, primes_up_to,
+    sqrt_minus_one_count,  # noqa: F401  unused, but bench/tracer.py patches this name
+    sqrts_minus_one, squarefree_part,
 )
 from .errors import NotInDomainError, SizeCapError, TorsorValidationError
 
@@ -298,6 +296,20 @@ def _inverses(p: int) -> np.ndarray:
     return np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
 
 
+@lru_cache(maxsize=1)
+def _divisor_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, d, mu): d[first[j]:first[j + 1]] are the squarefree divisors of
+    j in [1, n], ascending, and mu their Mobius signs; from one Mobius sieve."""
+    mu = mobius_sieve(n)
+    d = np.flatnonzero(mu)
+    k = n // d  # multiples of each d
+    d, mu = np.repeat(d, k), np.repeat(mu[d], k)
+    j = d * (np.arange(len(d)) - np.repeat(np.cumsum(k) - k, k) + 1)
+    order = np.argsort(j, kind="stable")
+    first = np.concatenate(([0], np.cumsum(np.bincount(j, minlength=n + 1))))
+    return first, d[order], mu[order]
+
+
 def _y4_classes(v1: int, v2: int, m: int, y2, s, w):
     """The classes of k that gcd(y4, v1 v2) = 1 excludes from the
     progressions y3 = s + k m (s and w per progression, y2 per cell), as
@@ -343,44 +355,38 @@ def _cell_counts(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s) -> np.nd
     ``_progressions`` by inclusion-exclusion over classes of k, all cells in
     one pass; a progression over -Y3 <= y3 <= Y3 counts the points of both
     roots of its pair, as every condition depends on |y3| only.
-    gcd(y3, y2) = 1 is a Mobius sum over the squarefree d | y2: d | y3 iff
-    k = t (mod d), where t = (rho w - s) / m >= 0: s is the least
-    y3 = rho w (mod m) not below the lower end of the range, -Y3 or 1, so
-    s <= rho w.
-    Each term of it then takes at most one class of ``_y4_classes`` per
-    prime, merged by CRT into one class k = c (mod Q), which holds
-    (K - c + Q - 1) // Q of the k.
+    gcd(y3, y2) = 1 is a Mobius sum over the squarefree d | y2 of
+    ``_divisor_table``: d | y3 iff k = t (mod d), where t = (rho w - s) / m
+    >= 0, as s <= rho w is the least y3 = rho w (mod m) in the range.  Each
+    term then takes at most one class of ``_y4_classes`` per prime, merged
+    by CRT into one class k = c (mod Q), which holds (K - c + Q - 1) // Q of
+    the k.  The terms run by cell, then by d, then by progression.
     """
     rows, y0, w, rw, s, K = _progressions(B, v1, v2, y1, m, roots, y2s)
     nroots = rw.shape[1]
     y2 = np.asarray(y2s, dtype=np.int64)
-    cell = np.repeat(np.arange(len(y2)), rows * nroots)  # of each progression
     # y3 = s + k m = m (k - t) (mod w), so d | y3 iff k = t (mod d), as d | w
     t = ((rw - s) // m).ravel()
     s, K, w = s.ravel(), K.ravel(), np.repeat(w, nroots)
     classes = _y4_classes(v1, v2, m, y2, s, w)
-    # one entry per progression and squarefree d | y2
-    divs = [squarefree_divisors(b) for b in y2s]
-    nd = np.array([len(ds) for ds in divs], dtype=np.int64)
-    d, mu = np.array([dm for ds in divs for dm in ds], dtype=np.int64).T
-    ndp = nd[cell]
-    prog = np.repeat(np.arange(len(K)), ndp)
-    idx = np.arange(len(prog)) - np.repeat(np.cumsum(ndp) - ndp - (np.cumsum(nd) - nd)[cell], ndp)
-    d = d[idx]
-    C = _mod(t[prog], d)
-    S = mu[idx]
-    # row i of the terms: the class C[i] (mod Q[i]) with sign S[i], one
-    # column per entry
-    C, Q, S = C[None, :], d[None, :], S[None, :]
+    first, dtab, mutab = _divisor_table(isqrt(B))
+    nd = first[y2 + 1] - first[y2]  # divisors of each cell
+    npc = rows * nroots  # progressions of each cell
+    ne = np.repeat(npc, nd)  # progressions of each (cell, d)
+    ent = np.arange(nd.sum()) + np.repeat(first[y2] - nd.cumsum() + nd, nd)  # table entries
+    prog = np.arange(ne.sum()) + np.repeat(np.repeat(npc.cumsum() - npc, nd) - ne.cumsum() + ne, ne)
+    d = np.repeat(dtab[ent], ne)
+    nt = npc * nd  # terms of each cell
+    # row i of the terms: the classes C[i] (mod Q[i]) with signs S[i]
+    C, Q, S = _mod(t[prog], d)[None, :], d[None, :], np.repeat(mutab[ent], ne)[None, :]
     for p, E, alive in classes:
         u = _inverses(p)[_mod(Q, p)]
         cp = p - _mod(C, p)
         C = np.concatenate([C] + [C + Q * _mod((e[prog] + cp) * u, p) for e in E])
         Q = np.concatenate([Q] + [Q * p] * len(E))
-        S = np.concatenate([S] + [-S if alive is None else -S * alive[cell[prog]]] * len(E))
+        S = np.concatenate([S] + [-S if alive is None else -S * np.repeat(alive, nt)] * len(E))
     n = np.cumsum((S * ((K[prog] + Q - 1 - C) // Q)).sum(axis=0))
-    ends = np.cumsum(rows * nroots * nd)
-    return np.diff(np.concatenate(([0], n))[np.concatenate(([0], ends))])
+    return np.diff(np.concatenate(([0], n))[np.concatenate(([0], np.cumsum(nt)))])
 
 
 def _count_groups(B: int, groups) -> int:
@@ -394,41 +400,37 @@ def _count_groups(B: int, groups) -> int:
 # the cell walk
 
 def _base_pairs(B: int):
-    """(v2, [(y1, m), ...]) by ascending v2 and y1: squarefree v2,
-    v2^3 y1^2 <= B, and -1 a square modulo m = v2 y1^2."""
-    out = []
-    v2 = 1
-    while v2**3 <= B:
-        if is_squarefree(v2):
-            row = []
-            for y1 in range(1, isqrt(B // v2**3) + 1):
-                m = v2 * y1 * y1
-                if sqrt_minus_one_count(m):
-                    row.append((y1, m))
-            out.append((v2, row))
-        v2 += 1
-    return out
+    """(v2, [y1, ...]) by ascending v2 and y1: squarefree v2, v2^3 y1^2 <= B
+    and -1 a square mod v2 y1^2, that is, y1 odd and neither v2 nor y1 with
+    a prime = 3 (mod 4); two sieves to isqrt(B) find both."""
+    n = isqrt(B)
+    primes = primes_up_to(n)
+    good = np.ones(n + 1, dtype=bool)  # no prime = 3 (mod 4)
+    for p in primes[primes % 4 == 3].tolist():
+        good[p::p] = False
+    y1s = (np.flatnonzero(good[1::2]) * 2 + 1).tolist()
+    v2s = [v2 for v2 in np.flatnonzero(good & (mobius_sieve(n) != 0)).tolist() if v2**3 <= B]
+    return [(v2, y1s[:bisect_right(y1s, isqrt(B // v2**3))]) for v2 in v2s]
 
 
 def _groups(B: int):
     """The cells of the walk grouped by (v1, v2, y1): every (v1, v2, y1, m,
     y2_cap) with squarefree v2, a root of -1 modulo m = v2 y1^2 and
     y2_cap >= 1 the largest y2 with v1^4 v2^3 y1^2 y2^2 <= B; in the order
-    (v1, v2, y1).  The y2 of its cells are ``_y2s(v2 y1, y2_cap)``.  The
-    walk builds no root list: the kernels look up ``sqrts_minus_one(m)``
-    once per group, in the process that counts it."""
+    (v1, v2, y1).  The y2 of its cells are ``_y2s(v2 y1, y2_cap)``; the
+    roots, ``sqrts_minus_one(m)``, are looked up by the process counting it."""
     pairs = _base_pairs(B)
     v1 = 1
     while v1**4 <= B:
         b1 = B // v1**4
-        for v2, row in pairs:
+        for v2, y1s in pairs:
             if v2**3 > b1:
                 break
-            for y1, m in row:
+            for y1 in y1s:
                 y2_cap = isqrt(b1 // (v2**3 * y1 * y1))
                 if not y2_cap:
                     break
-                yield v1, v2, y1, m, y2_cap
+                yield v1, v2, y1, v2 * y1 * y1, y2_cap
         v1 += 1
 
 
@@ -441,9 +443,8 @@ def _cells(B: int):
     """Every cell (v1, v2, y1, y2, m) with v1^4 v2^3 y1^2 y2^2 <= B,
     squarefree v2, a root of -1 modulo m = v2 y1^2 and gcd(y2, v2 y1) = 1,
     in the order (v1, v2, y1, y2)."""
-    for v1, v2, y1, m, y2_cap in _groups(B):
-        for y2 in _y2s(v2 * y1, y2_cap):
-            yield v1, v2, y1, y2, m
+    return ((v1, v2, y1, y2, m) for v1, v2, y1, m, y2_cap in _groups(B)
+            for y2 in _y2s(v2 * y1, y2_cap))
 
 
 def count_torsor(B: int, workers: Optional[int] = None) -> int:
@@ -465,12 +466,11 @@ def count_torsor(B: int, workers: Optional[int] = None) -> int:
     import multiprocessing as mp
 
     # the costliest groups (small v1 and y1, many y2) come first in the walk,
-    # so dealing them out in turn gives each share an equal part of them:
-    # at B = 10^7 the first half of the 1,145 groups takes 66-69% of the time.
-    # The first group, (v1, v2, y1) = (1, 1, 1) with every y2, has the largest
-    # arrays (4.5 MB at B = 10^7, the next group 1.6 MB); a worker counts it,
-    # so that it does not add to the memory the calling process already holds.
+    # so dealing them out in turn evens the shares (at B = 10^7 the first half
+    # of the 1,145 groups takes 66-69% of the time).  A worker counts the first
+    # group, (1, 1, 1), whose arrays are the largest (2.7 MB at 10^7).
     shares = [groups[i::workers] for i in range(workers)]
+    _divisor_table(isqrt(B))  # built before the fork, so every worker inherits it
     with mp.get_context("fork").Pool(workers - 1) as pool:
         rest = pool.map_async(partial(_count_groups, B), shares[:-1])
         return _count_groups(B, shares[-1]) + sum(rest.get())

@@ -30,14 +30,17 @@ def trial_division(n):
 
 class TestProfiles:
     def test_examples(self):
+        mu = A.mobius_sieve(12)
         for n, values in ((12, (0, 4, 2, 0)), (5, (-1, 4, 1, 1)), (1, (1, 1, 0, 1))):
-            assert (A.mobius(n), A.euler_phi(n), len(A.factorize(n)), A.chi(n)) == values
+            assert (mu[n], A.euler_phi(n), len(A.factorize(n)), A.chi(n)) == values
+        assert A.mobius_sieve(0).tolist() == [0] and A.mobius_sieve(1).tolist() == [0, 1]
 
     def test_mobius_and_phi_by_brute_force(self):
+        mu = A.mobius_sieve(2000)
         for n in range(1, 2001):
             fac = trial_division(n)
             squarefree = all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
-            assert A.mobius(n) == ((-1) ** len(fac) if squarefree else 0), n
+            assert mu[n] == ((-1) ** len(fac) if squarefree else 0), n
             assert A.euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1), n
 
     def test_factorization_reconstructs(self, rng):
@@ -73,6 +76,19 @@ class TestProfiles:
             assert math.prod(p**e for p, e in fac.items()) == n
         for n in ns[-300:]:
             assert A.factorize(n) == trial_division(n)
+
+    def test_primes_up_to(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            primes = A.primes_up_to(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(primes), int(primes[-1]), primes.dtype) == (664579, 9999991, np.int64)
+        # the 10 MB sieve and the 5.3 MB result, and no copy of the result
+        assert peak < 16e6
 
     def test_squarefree_part(self):
         assert A.squarefree_part(72) == 2

@@ -5,7 +5,9 @@ import pytest
 
 from delpezzo import surface as S
 from delpezzo import torsor as T
-from delpezzo.arith import factorize, sqrts_minus_one
+from delpezzo.arith import (
+    factorize, is_squarefree, sqrt_minus_one_count, sqrts_minus_one, squarefree_divisors,
+)
 from delpezzo.errors import NotInDomainError, SizeCapError, TorsorValidationError
 
 
@@ -153,7 +155,35 @@ def brute_cells(B):
     return sorted(out)
 
 
+def factored_base_pairs(B):
+    """The (v2, [y1, ...]) of ``_base_pairs`` from their definition: squarefree
+    v2, v2^3 y1^2 <= B and sqrt_minus_one_count(v2 y1^2) > 0, for every v2
+    with some such y1."""
+    out = []
+    v2 = 1
+    while v2**3 <= B:
+        if is_squarefree(v2):
+            y1s = [y1 for y1 in range(1, isqrt(B // v2**3) + 1)
+                   if sqrt_minus_one_count(v2 * y1 * y1)]
+            if y1s:
+                out.append((v2, y1s))
+        v2 += 1
+    return out
+
+
 class TestWalk:
+    @pytest.mark.parametrize("B", [1, 2, 10**3, 10**7, T.TORSOR_CAP])
+    def test_base_pairs_match_their_definition(self, B):
+        assert T._base_pairs(B) == factored_base_pairs(B)
+
+    def test_divisor_table(self):
+        n = isqrt(T.TORSOR_CAP)
+        first, d, mu = T._divisor_table(n)
+        assert len(first) == n + 2 and first[1] == 0
+        for j in range(1, n + 1):
+            a, b = first[j], first[j + 1]
+            assert set(zip(d[a:b].tolist(), mu[a:b].tolist())) == set(squarefree_divisors(j)), j
+
     @pytest.mark.parametrize("B", [1, 2, 10**3, 10**5])
     def test_cells_match_their_definition(self, B):
         cells = brute_cells(B)
@@ -326,6 +356,7 @@ class TestFloorSums:
     @pytest.mark.parametrize("v1, v2, y1, y2s", [
         (5, 1, 1, [1, 2, 3, 5, 10]),  # p = 5 | v1 applies to some cells of the pass only
         (6, 10, 1, [1, 3, 7, 9]),  # p = 2 | m, odd p = 5 | m, p = 3 mod 4 not dividing m
+        (1, 1, 1, [1, 2310, 30030]),  # 1, 32 and 64 squarefree divisors of y2
     ])
     def test_batches_at_cap(self, v1, v2, y1, y2s):
         self.check_at_cap(v1, v2, y1, y2s)

@@ -174,9 +174,9 @@ def scalar_residual_factor(p: int) -> float:
 
 class TestResidualProduct:
     def test_p2_factor(self):
-        v100, _ = Z.residual_product_at_zero(100)
-        # /5/32 times the odd factors; the p = 2 factor alone:
-        assert abs(5 / 32 - 0.15625) == 0
+        # H(0)'s factor at p = 2: euler_factor(2, 0) = 2.5 times E1's inverse
+        # local factor (1 - 1/2)^4 (1 - chi(2)/2)^2 = 1/16
+        assert Z.euler_factor(2, 0) * (1 - 1 / 2) ** 4 * (1 - A.chi(2) / 2) ** 2 == 5 / 32
 
     def test_product_is_the_scalar_loop(self):
         # bit for bit, as for tau; past_block has one odd prime past a block

@@ -21,6 +21,13 @@ from typing import Optional
 
 from .errors import DelPezzoError, SizeCapError
 
+# The --threads fork pool is the program's only parallelism, yet OpenBLAS
+# starts a helper thread when numpy is imported, which busy-waits for about
+# 0.1 s of CPU in every process.  So BLAS gets one thread unless the user set
+# a number.  The console script and ``python -m delpezzo.cli`` load this
+# module before anything imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
@@ -28,6 +35,9 @@ EXIT_CAP = 3
 
 MIN_PRIME_CUTOFF = 100  # the Euler products of constants and zeta reject less
 MIN_QUAD_TOL = 1e-14  # the quadratures of constants reject less (double precision)
+# --threads, DELPEZZO_THREADS and the usable CPUs are capped here: each worker
+# is a forked process, and more than this would only exhaust process ids
+MAX_THREADS = 256
 
 
 class UsageError(Exception):
@@ -41,18 +51,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _threads_default(flag_value) -> int:
     """The --threads value, else DELPEZZO_THREADS (checked like the flag),
-    else the number of CPUs this process may run on."""
+    else the number of CPUs this process may run on, at most MAX_THREADS."""
     if flag_value is not None:
         return flag_value
     env = os.environ.get("DELPEZZO_THREADS")
     if env:
         try:
-            return _int_at_least(1)(env)
+            return _threads(env)
         except argparse.ArgumentTypeError as exc:
             raise UsageError(f"DELPEZZO_THREADS {exc}") from exc
     if hasattr(os, "sched_getaffinity"):  # honours taskset and cpusets
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_THREADS)
 
 
 # Flag types: each parses one flag's text and checks its domain.  A failed
@@ -72,6 +84,10 @@ def _checked(parse, ok, domain):
 
 def _int_at_least(lo: int):
     return _checked(int, lambda n: n >= lo, f"an integer >= {lo}")
+
+
+_threads = _checked(int, lambda n: 1 <= n <= MAX_THREADS,
+                    f"an integer in [1, {MAX_THREADS}]")
 
 
 def _int_list(text: str) -> list[int]:
@@ -136,7 +152,7 @@ def parse_args(argv) -> argparse.Namespace:
     for p in sub.choices.values():
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=_int_at_least(1), default=None)
+        p.add_argument("--threads", type=_threads, default=None)
         p.add_argument("--no-timestamp", action="store_true")
 
     cfg = parser.parse_args(argv)

@@ -26,8 +26,11 @@ congruence on k, so the counter visits no candidate: it counts each
 progression by floor sums, a Mobius sum over the squarefree d | y2 from one
 divisor table per count, less one or two classes of k per prime of v1 v2,
 merged by the CRT into k = c (mod Q), which holds (K - c + Q - 1) // Q of
-the k.  One numpy pass counts all cells of a group, its terms ordered by
-cell, then by d, then by progression.  The enumeration kernel
+the k.  The term of d = 1 with no class holds all K of the k, so it is
+added as the sum of K and never built (58% of the terms at B = 10^7 and
+10^8).  One numpy pass counts all cells of a group and returns their exact
+total; its terms of d > 1 are ordered by cell, then by d, then by
+progression.  The enumeration kernel
 ``_cell_blocks``, the counter's oracle, lays a cell's progressions out in
 blocks of about 2^14 candidates and tests both conditions by lookup in
 masks over rad(y2) and rad(v1 v2).
@@ -161,8 +164,9 @@ _BLOCK = 1 << 14
 
 # int64 headroom of the kernels.  In every cell m = v2 y1^2 <= B (as
 # v2^3 y1^2 <= B), lim = B m <= B^2, w = y0^2 y2 < sqrt(lim) <= B and
-# Y3 = isqrt(lim - w^2) <= B.  So w^2 + y3^2 <= lim for |y3| <= Y3,
-# rho w < m B, and the squares (s + 1)^2 in _isqrt are at most (B + 1)^2.
+# Y3 = isqrt(lim - w^2) <= B.  So w^2 + y3^2 <= lim for |y3| <= Y3, the
+# fourth powers y0^4 of _progressions are below lim, rho w < m B, and the
+# squares (s + 1)^2 in _isqrt are at most (B + 1)^2.
 # A start lies in [-Y3, m], so |start| <= max(Y3, m) <= B.  The offsets i m
 # of the n candidates of a block stay below n m <= _BLOCK B + 2 B^2: a block
 # holds at most _BLOCK candidates plus one y0 row, and a row has at most
@@ -182,6 +186,19 @@ assert (1 + _BLOCK) * TORSOR_CAP + 2 * TORSOR_CAP**2 < 2**63
 # has w^2 + s^2 <= lim + m^2 <= 2 B^2, as |s| <= max(Y3, m) and
 # w^2 + Y3^2 <= lim.
 assert 2 * TORSOR_CAP + 2 * isqrt(TORSOR_CAP) < 2**63 and 2 * TORSOR_CAP**2 < 2**63
+
+# So do the sums of a group's terms.  A term counts at most the K of its
+# progression, and a progression has at most 3^6 = 729 terms: each prime of
+# y2 doubles them, each of v1 v2 at most triples them, and
+# rad(y2) rad(v1 v2) <= v1 v2 y2 <= sqrt(B) < 2*3*5*7*11*13*17 leaves room
+# for at most 6 primes, a shared one counted twice (2 * 3 <= 3^2).  A row
+# has at most 4 kept roots, as at most 3 odd primes = 1 (mod 4) divide
+# v2 y1 <= sqrt(B), and so K summed over the row is at most
+# 4 (2 Y3/m + 1) <= 12 sqrt(B/m).  The rows y0^4 y2^2 < B m of a group
+# number at most (B m)^(1/4) sum_{y2 <= sqrt(B)} y2^(-1/2) <= 2 B^(1/2) m^(1/4).
+# Together K sums to at most 24 B over a group, and the terms to 729 times
+# that.
+assert 729 * 24 * TORSOR_CAP < 2**63
 
 
 def _coprime_mask(n: int) -> tuple[int, np.ndarray]:
@@ -213,13 +230,14 @@ def _mod(a: np.ndarray, r) -> np.ndarray:
     return a - a // r * r
 
 
-def _progressions(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s):
+def _progressions(B: int, primes, m: int, roots, y2s):
     """The progressions of the cells (v1, v2, y1, y2), y2 in ``y2s``
-    ascending: arrays (rows, y0, w, rw, start, K).
+    ascending, where ``primes`` are the primes of v1 v2 y1: arrays
+    (rows, y0, w, t, start, K).
 
     The rows of a cell are the y0 with gcd(y0, v1 v2 y1) = 1 and
     w^2 < lim = B m, where w = y0^2 y2; rows[j] counts those of the j-th
-    cell, and y0, w, rw, start and K hold the rows of every cell, cell
+    cell, and y0, w, t, start and K hold the rows of every cell, cell
     after cell.  In a row the y3 are the 1 <= y3 <= Y3 = isqrt(lim - w^2)
     with y3 = rho w (mod m) for a root rho in ``roots``.  For m > 2 the
     roots come in pairs rho, m - rho, and y3 -> -y3 swaps their classes
@@ -228,26 +246,28 @@ def _progressions(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s):
     progression runs over -Y3 <= y3 <= Y3, where y3 = 0 never lies, as rho w
     is a unit mod m.  For m <= 2 the single root is its own negative and
     its progression runs over 1 <= y3 <= Y3.  Each is y3 = start + k m,
-    0 <= k < K; rw = rho w, start and K have one column per kept root.
+    0 <= k < K, and rho w = start + t m; t, start and K have one column per
+    kept root.
     """
     lim = B * m
     y2 = np.asarray(y2s, dtype=np.int64)
-    top = _isqrt(_isqrt((lim - 1) // (y2 * y2)))  # fourth roots, non-increasing
-    keep = np.ones(int(top[0]), dtype=bool)
-    for p in factorize(v1 * v2 * y1):
+    keep = np.ones(isqrt(isqrt((lim - 1) // y2s[0]**2)), dtype=bool)
+    for p in primes:
         keep[p - 1::p] = False
     y0 = np.flatnonzero(keep) + 1
-    # the rows of each cell are a prefix of those of the first
-    rows = np.searchsorted(y0, top, side="right")
+    # the rows of each cell are a prefix of those of the first: the y0 with
+    # y0^4 <= (lim - 1) // y2^2
+    rows = np.searchsorted(y0**4, (lim - 1) // (y2 * y2), side="right")
     ends = np.cumsum(rows)
     y0 = y0[np.arange(ends[-1]) - np.repeat(ends - rows, rows)]
     w = y0 * y0 * np.repeat(y2, rows)  # w^2 + y3^2 = m y4, and y3 = rho w (mod m)
     Y3 = _isqrt(lim - w * w)[:, None]  # >= 1, as w^2 < lim
     rw = w[:, None] * np.array([r for r in roots if m <= 2 or 2 * r < m], dtype=np.int64)
     low = -Y3 if m > 2 else 1
-    start = low + _mod(rw - low, m)  # the least y3 >= low with y3 = rho w (mod m)
+    t = (rw - low) // m
+    start = rw - t * m  # the least y3 >= low with y3 = rho w (mod m)
     K = (Y3 - start) // m + 1  # >= 0, as start < low + m
-    return rows, y0, w, rw, start, K
+    return rows, y0, w, t, start, K
 
 
 def _cell_blocks(B: int, v1: int, v2: int, y1: int, y2: int, m: int, roots):
@@ -266,7 +286,7 @@ def _cell_blocks(B: int, v1: int, v2: int, y1: int, y2: int, m: int, roots):
     y3^2 = m y4 - w^2, so gcd(y3, y2) = 1 already gives gcd(y4, y2) = 1.
     Hence y4 is computed only when rad(v1 v2) > 1.
     """
-    _, y0, w, _, start, K = _progressions(B, v1, v2, y1, m, roots, [y2])
+    _, y0, w, _, start, K = _progressions(B, factorize(v1 * v2 * y1), m, roots, [y2])
     if not len(y0):
         return
     c = w * w
@@ -310,14 +330,15 @@ def _divisor_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, d[order], mu[order]
 
 
-def _y4_classes(v1: int, v2: int, m: int, y2, s, w):
+def _y4_classes(primes, m: int, y2, s, w):
     """The classes of k that gcd(y4, v1 v2) = 1 excludes from the
-    progressions y3 = s + k m (s and w per progression, y2 per cell), as
-    [(p, [e, ...], alive), ...].
+    progressions y3 = s + k m, where ``primes`` are the primes of v1 v2, as
+    [(p, [e, ...], alive), ...]; s holds a row of progressions per y0 row,
+    w a column of the rows, and y2 the cells.
 
-    Each e has one entry per progression; alive (None for every cell)
-    marks the cells where the classes of p apply.  p | y4 reads
-    p | w^2 + y3^2 where p does not divide m, and
+    Each e has one entry per progression, in the order of s.ravel(); alive
+    (None for every cell) marks the cells where the classes of p apply.
+    p | y4 reads p | w^2 + y3^2 where p does not divide m, and
     y4(k) = y4(0) + 2 s k + m k^2 = 0 (mod p) where it does:
       - p | y2: nothing, as gcd(y3, y2) = 1 already keeps p from y4;
       - p = 3 (mod 4), p not dividing m: nothing, as p would divide w;
@@ -330,7 +351,7 @@ def _y4_classes(v1: int, v2: int, m: int, y2, s, w):
     no y2, as gcd(y2, v2 y1) = 1.
     """
     out = []
-    for p in factorize(v1 * v2):
+    for p in primes:
         if m % p:
             alive = y2 % p != 0
             alive = None if alive.all() else alive
@@ -345,11 +366,22 @@ def _y4_classes(v1: int, v2: int, m: int, y2, s, w):
         elif p > 2:
             y4 = (w * w + s * s) // m
             out.append((p, [_mod((p - _mod(y4, p)) * _inverses(p)[_mod(2 * s, p)], p)], None))
-    return out
+    return [(p, [e.ravel() for e in E], alive) for p, E, alive in out]
 
 
-def _cell_counts(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s) -> np.ndarray:
-    """The number of points of each cell (v1, v2, y1, y2), y2 in ``y2s``.
+def _merge(p: int, E, sign, C, Q, S):
+    """The terms k = C (mod Q) with signs S (one row per class, one column
+    per term) and, for each class k = e (mod p) in E, their CRT merges, with
+    signs -S sign; sign is 1 or a 0/1 array over the columns."""
+    u = _inverses(p)[_mod(Q, p)]
+    cp = p - _mod(C, p)
+    return (np.concatenate([C] + [C + Q * _mod((e + cp) * u, p) for e in E]),
+            np.concatenate([Q] + [Q * p] * len(E)),
+            np.concatenate([S] + [-S * sign] * len(E)))
+
+
+def _cell_counts(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s) -> int:
+    """The number of points in the cells (v1, v2, y1, y2), y2 in ``y2s``, together.
 
     Counts the k in [0, K) of every progression y3 = s + k m of
     ``_progressions`` by inclusion-exclusion over classes of k, all cells in
@@ -360,39 +392,44 @@ def _cell_counts(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s) -> np.nd
     >= 0, as s <= rho w is the least y3 = rho w (mod m) in the range.  Each
     term then takes at most one class of ``_y4_classes`` per prime, merged
     by CRT into one class k = c (mod Q), which holds (K - c + Q - 1) // Q of
-    the k.  The terms run by cell, then by d, then by progression.
+    the k.  The term of d = 1 with no class holds all K of the k, so it is
+    added as the sum of K and never built; the terms that merge classes into
+    it (c = e, Q = p) have one column per progression, and those of d > 1
+    run by cell, then by d, then by progression.
     """
-    rows, y0, w, rw, s, K = _progressions(B, v1, v2, y1, m, roots, y2s)
-    nroots = rw.shape[1]
+    primes = list(factorize(v1 * v2 * y1))
+    rows, y0, w, t, s, K = _progressions(B, primes, m, roots, y2s)
+    nroots = t.shape[1]
     y2 = np.asarray(y2s, dtype=np.int64)
     # y3 = s + k m = m (k - t) (mod w), so d | y3 iff k = t (mod d), as d | w
-    t = ((rw - s) // m).ravel()
-    s, K, w = s.ravel(), K.ravel(), np.repeat(w, nroots)
-    classes = _y4_classes(v1, v2, m, y2, s, w)
+    t, K = t.ravel(), K.ravel()
+    classes = _y4_classes([p for p in primes if v1 * v2 % p == 0], m, y2, s, w[:, None])
     first, dtab, mutab = _divisor_table(isqrt(B))
-    nd = first[y2 + 1] - first[y2]  # divisors of each cell
+    nd = first[y2 + 1] - first[y2] - 1  # divisors d > 1 of each cell
     npc = rows * nroots  # progressions of each cell
     ne = np.repeat(npc, nd)  # progressions of each (cell, d)
-    ent = np.arange(nd.sum()) + np.repeat(first[y2] - nd.cumsum() + nd, nd)  # table entries
+    ent = np.arange(nd.sum()) + np.repeat(first[y2] + 1 - nd.cumsum() + nd, nd)  # table entries
     prog = np.arange(ne.sum()) + np.repeat(np.repeat(npc.cumsum() - npc, nd) - ne.cumsum() + ne, ne)
     d = np.repeat(dtab[ent], ne)
-    nt = npc * nd  # terms of each cell
+    nt = npc * nd  # terms of d > 1 of each cell
     # row i of the terms: the classes C[i] (mod Q[i]) with signs S[i]
     C, Q, S = _mod(t[prog], d)[None, :], d[None, :], np.repeat(mutab[ent], ne)[None, :]
+    C1 = Q1 = S1 = np.empty((0, len(K)), dtype=np.int64)  # the merges into d = 1
     for p, E, alive in classes:
-        u = _inverses(p)[_mod(Q, p)]
-        cp = p - _mod(C, p)
-        C = np.concatenate([C] + [C + Q * _mod((e[prog] + cp) * u, p) for e in E])
-        Q = np.concatenate([Q] + [Q * p] * len(E))
-        S = np.concatenate([S] + [-S if alive is None else -S * np.repeat(alive, nt)] * len(E))
-    n = np.cumsum((S * ((K[prog] + Q - 1 - C) // Q)).sum(axis=0))
-    return np.diff(np.concatenate(([0], n))[np.concatenate(([0], np.cumsum(nt)))])
+        sign, sign1 = (1, 1) if alive is None else (np.repeat(alive, nt), np.repeat(alive, npc))
+        C, Q, S = _merge(p, [e[prog] for e in E], sign, C, Q, S)
+        C1, Q1, S1 = _merge(p, E, sign1, C1, Q1, S1)
+        # and the merges of the d = 1 term itself, k = e (mod p)
+        C1 = np.concatenate([C1, E])
+        Q1 = np.concatenate([Q1, np.full((len(E), len(K)), p)])
+        S1 = np.concatenate([S1, np.broadcast_to(-1 * sign1, (len(E), len(K)))])
+    return (int(K.sum()) + int((S * ((K[prog] + Q - 1 - C) // Q)).sum())
+            + int((S1 * ((K + Q1 - 1 - C1) // Q1)).sum()))
 
 
 def _count_groups(B: int, groups) -> int:
     """Number of points of the cells of the given groups of ``_groups``."""
-    return sum(int(_cell_counts(B, v1, v2, y1, m, sqrts_minus_one(m),
-                                _y2s(v2 * y1, y2_cap)).sum())
+    return sum(_cell_counts(B, v1, v2, y1, m, sqrts_minus_one(m), _y2s(v2 * y1, y2_cap))
                for v1, v2, y1, m, y2_cap in groups)
 
 
@@ -452,23 +489,25 @@ def count_torsor(B: int, workers: Optional[int] = None) -> int:
 
     ``workers`` = W > 1 deals the groups of the walk out once, every W-th
     group to each of W shares: the calling process counts the last share
-    while a fork pool of W - 1 processes counts the others.  The result is
-    an exact integer sum and therefore identical for every partition.
+    while a fork pool of W - 1 processes counts the others.  W is lowered to
+    the number of groups, so no share is empty.  The result is an exact
+    integer sum and therefore identical for every partition.
     """
     if B < 1:
         return 0
     if B > TORSOR_CAP:
         raise SizeCapError(f"count_torsor is capped at B = {TORSOR_CAP}")
-    workers = workers or 1
     groups = list(_groups(B))
-    if workers == 1:
+    workers = min(workers or 1, len(groups))
+    if workers <= 1:
         return _count_groups(B, groups)
     import multiprocessing as mp
 
     # the costliest groups (small v1 and y1, many y2) come first in the walk,
     # so dealing them out in turn evens the shares (at B = 10^7 the first half
-    # of the 1,145 groups takes 66-69% of the time).  A worker counts the first
-    # group, (1, 1, 1), whose arrays are the largest (2.7 MB at 10^7).
+    # of the 1,145 groups takes 50-55% of the time).  A worker counts the first
+    # group, (1, 1, 1), whose arrays are the largest (a tracemalloc peak of
+    # 2.2 MB at 10^7).
     shares = [groups[i::workers] for i in range(workers)]
     _divisor_table(isqrt(B))  # built before the fork, so every worker inherits it
     with mp.get_context("fork").Pool(workers - 1) as pool:

@@ -67,6 +67,20 @@ class TestParsing:
         monkeypatch.delattr(cli.os, "sched_getaffinity")
         assert cli.parse_args(["count", "--bmax", "10"]).threads == 64
 
+    def test_threads_cap(self, monkeypatch):
+        monkeypatch.delenv("DELPEZZO_THREADS", raising=False)
+        assert cli.parse_args(["count", "--bmax", "10", "--threads", "256"]).threads == 256
+        monkeypatch.setenv("DELPEZZO_THREADS", str(cli.MAX_THREADS))
+        assert cli.parse_args(["count", "--bmax", "10"]).threads == cli.MAX_THREADS
+        # the default is capped like the flag, whatever the machine
+        monkeypatch.delenv("DELPEZZO_THREADS")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1000)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(300)),
+                            raising=False)
+        assert cli.parse_args(["count", "--bmax", "10"]).threads == cli.MAX_THREADS
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        assert cli.parse_args(["count", "--bmax", "10"]).threads == cli.MAX_THREADS
+
     def test_threads_env_malformed(self, monkeypatch):
         monkeypatch.setenv("DELPEZZO_THREADS", "two")
         with pytest.raises(cli.UsageError):
@@ -121,12 +135,14 @@ class TestExitCodes:
         ["decompose", "--grid", "0"],
         ["count", "--bmax", "10", "--threads", "0"],
         ["count", "--bmax", "10", "--threads", "-2"],
+        ["count", "--bmax", "10", "--threads", "257"],  # one past MAX_THREADS
+        ["count", "--bmax", "10", "--threads", "100000"],
     ])
     def test_domain_errors_are_usage_errors(self, args, capsys):
         assert cli.main(args) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error:")
 
-    @pytest.mark.parametrize("env", ["0", "-1"])
+    @pytest.mark.parametrize("env", ["0", "-1", "257"])
     def test_threads_env_domain_errors_are_usage_errors(self, env, monkeypatch, capsys):
         # the environment variable is checked like the flag it stands for
         monkeypatch.setenv("DELPEZZO_THREADS", env)
@@ -228,6 +244,33 @@ class TestReports:
                     "beta_tail", "tau_H", "peyre", "peyre_error", "leading_coeff"):
             assert key in row
         assert abs(row["leading_coeff"] - row["peyre"]) < 1e-9
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+class TestBlasThreads:
+    # importing the CLI before numpy leaves OpenBLAS with no helper thread,
+    # unless the user chose a number of BLAS threads
+    PROBE = (
+        "import os, delpezzo.cli, numpy\n"
+        "threads = [line.split()[1] for line in open('/proc/self/status')\n"
+        "           if line.startswith('Threads:')]\n"
+        "print(threads[0], os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+
+    def probe(self, monkeypatch, preset):
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        proc = subprocess.run([sys.executable, "-c", self.PROBE], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_one_thread(self, monkeypatch):
+        assert self.probe(monkeypatch, None) == ["1", "1"]
+
+    def test_a_preset_value_wins(self, monkeypatch):
+        assert self.probe(monkeypatch, "3")[1] == "3"
 
 
 class TestLazyImports:

@@ -1,4 +1,5 @@
 from math import gcd, isqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,6 +127,35 @@ class TestCounting:
         with pytest.raises(SizeCapError):
             T.count_torsor(10**9 + 1)
 
+    def test_no_more_workers_than_groups(self, monkeypatch):
+        """The pool gets one process per non-empty share but the caller's:
+        B = 10 has two groups and B = 2 one.  The pool is a stand-in that
+        counts the shares in this process, so no process starts."""
+        import multiprocessing
+
+        pools = []
+
+        class Pool:
+            def __init__(self, processes):
+                pools.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map_async(self, func, shares):
+                assert all(shares)
+                counts = [func(share) for share in shares]
+                return SimpleNamespace(get=lambda: counts)
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: SimpleNamespace(Pool=Pool))
+        assert T.count_torsor(10, workers=100000) == S.count_positive_oracle(10)
+        assert T.count_torsor(2, workers=5) == 1
+        assert pools == [1]
+
 
 def brute_cells(B):
     """The cells of the walk from their definition: every (v1, v2, y1, y2)
@@ -183,6 +213,12 @@ class TestWalk:
         for j in range(1, n + 1):
             a, b = first[j], first[j + 1]
             assert set(zip(d[a:b].tolist(), mu[a:b].tolist())) == set(squarefree_divisors(j)), j
+        # ascending, so each j's entries start with (1, +1): the counter adds
+        # that term as the sum of K and builds only the others
+        assert (d[first[1:-1]] == 1).all() and (mu[first[1:-1]] == 1).all()
+        ends = np.zeros(len(d), dtype=bool)
+        ends[first[2:] - 1] = True  # the last entry of each j
+        assert (np.diff(d)[~ends[:-1]] > 0).all()
 
     @pytest.mark.parametrize("B", [1, 2, 10**3, 10**5])
     def test_cells_match_their_definition(self, B):
@@ -204,7 +240,8 @@ class TestPairing:
             lim = B * m
             y0s = [a for a in range(1, isqrt(lim) + 1)
                    if (a * a * y2) ** 2 < lim and gcd(a, v1 * v2 * y1) == 1]
-            rows, y0, _, _, start, K = T._progressions(B, v1, v2, y1, m, roots, [y2])
+            rows, y0, _, _, start, K = T._progressions(B, factorize(v1 * v2 * y1), m, roots,
+                                                       [y2])
             assert rows.tolist() == [len(y0s)] and y0.tolist() == y0s
             ms.add(min(m, 3))
             for a, starts, ks in zip(y0s, start.tolist(), K.tolist()):
@@ -332,12 +369,15 @@ class TestFloorSums:
     """The floor-sum counter against the enumeration kernel, cell by cell."""
 
     def test_every_cell_at_1e5(self):
+        """Every cell, and every group as one pass of its cells."""
         B = 10**5
         for v1, v2, y1, m, y2_cap in T._groups(B):
             roots = tuple(sqrts_minus_one(m))
             y2s = T._y2s(v2 * y1, y2_cap)
-            got = T._cell_counts(B, v1, v2, y1, m, roots, y2s).tolist()
-            assert got == oracle_counts(B, v1, v2, y1, m, roots, y2s), (v1, v2, y1)
+            want = oracle_counts(B, v1, v2, y1, m, roots, y2s)
+            got = [T._cell_counts(B, v1, v2, y1, m, roots, [y2]) for y2 in y2s]
+            assert got == want, (v1, v2, y1)
+            assert T._cell_counts(B, v1, v2, y1, m, roots, y2s) == sum(want), (v1, v2, y1)
 
     def test_rule_cells_cover_every_rule(self):
         assert RULE_CELLS.keys() == RULES.keys()
@@ -359,11 +399,16 @@ class TestFloorSums:
         (1, 1, 1, [1, 2310, 30030]),  # 1, 32 and 64 squarefree divisors of y2
     ])
     def test_batches_at_cap(self, v1, v2, y1, y2s):
-        self.check_at_cap(v1, v2, y1, y2s)
+        want = self.check_at_cap(v1, v2, y1, y2s)
+        # the same cells in one pass give their total
+        B, m = T.TORSOR_CAP, v2 * y1 * y1
+        assert T._cell_counts(B, v1, v2, y1, m, tuple(sqrts_minus_one(m)), y2s) == sum(want)
 
     @staticmethod
     def check_at_cap(v1, v2, y1, y2s):
+        """Each cell on its own against the oracle; returns the oracle's counts."""
         B, m = T.TORSOR_CAP, v2 * y1 * y1
         roots = tuple(sqrts_minus_one(m))
-        assert T._cell_counts(B, v1, v2, y1, m, roots, y2s).tolist() == \
-            oracle_counts(B, v1, v2, y1, m, roots, y2s)
+        want = oracle_counts(B, v1, v2, y1, m, roots, y2s)
+        assert [T._cell_counts(B, v1, v2, y1, m, roots, [y2]) for y2 in y2s] == want
+        return want

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import DelPezzoError, SizeCapError
 
-# The --threads fork pool is the program's only parallelism, yet OpenBLAS
+# The --threads worker processes are the program's only parallelism, yet OpenBLAS
 # starts a helper thread when numpy is imported, which busy-waits for about
 # 0.1 s of CPU in every process.  So BLAS gets one thread unless the user set
 # a number.  The console script and ``python -m delpezzo.cli`` load this

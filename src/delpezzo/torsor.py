@@ -29,28 +29,28 @@ merged by the CRT into k = c (mod Q), which holds (K - c + Q - 1) // Q of
 the k.  The term of d = 1 with no class holds all K of the k, so it is
 added as the sum of K and never built (58% of the terms at B = 10^7 and
 10^8).  One numpy pass counts all cells of a group and returns their exact
-total; its terms of d > 1 are ordered by cell, then by d, then by
-progression.  The enumeration kernel
-``_cell_blocks``, the counter's oracle, lays a cell's progressions out in
-blocks of about 2^14 candidates and tests both conditions by lookup in
-masks over rad(y2) and rad(v1 v2).
+total.  The enumeration kernel ``_cell_blocks``, the counter's oracle, lays
+a cell's progressions out in blocks of about 2^14 candidates and tests both
+conditions by lookup in masks over rad(y2) and rad(v1 v2).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd, isqrt, prod
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .arith import (
-    _tonelli_sqrt_minus_one, cell_density, factorize, is_squarefree, mobius_sieve, primes_up_to,
+    _spf_table, _tonelli_sqrt_minus_one, cell_density, factorize, is_squarefree, mobius_sieve,
+    primes_up_to, sqrts_minus_one, squarefree_part,
     sqrt_minus_one_count,  # noqa: F401  unused, but bench/tracer.py patches this name
-    sqrts_minus_one, squarefree_part,
 )
 from .errors import NotInDomainError, SizeCapError, TorsorValidationError
 
@@ -166,7 +166,7 @@ _BLOCK = 1 << 14
 # v2^3 y1^2 <= B), lim = B m <= B^2, w = y0^2 y2 < sqrt(lim) <= B and
 # Y3 = isqrt(lim - w^2) <= B.  So w^2 + y3^2 <= lim for |y3| <= Y3, the
 # fourth powers y0^4 of _progressions are below lim, rho w < m B, and the
-# squares (s + 1)^2 in _isqrt are at most (B + 1)^2.
+# squares s^2 in _isqrt are at most (B + 1)^2.
 # A start lies in [-Y3, m], so |start| <= max(Y3, m) <= B.  The offsets i m
 # of the n candidates of a block stay below n m <= _BLOCK B + 2 B^2: a block
 # holds at most _BLOCK candidates plus one y0 row, and a row has at most
@@ -180,11 +180,12 @@ assert (1 + _BLOCK) * TORSOR_CAP + 2 * TORSOR_CAP**2 < 2**63
 # so do the primes p of the cell.  A CRT step takes a class c (mod Q) to
 # c + Q j < Q p, where j = (e + p - c mod p) u mod p comes from residues
 # e, u < p through a product below 2 p^2 <= 2 B; the other products of two
-# residues mod p are smaller.  K <= 2 Y3/m + 1 <= 2 B + 1, so the
-# numerators K + Q - 1 - c stay below 2 B + 2 sqrt(B); t = (rho w - s) / m
-# lies in [0, (m B + B) / m] and so below 2 B; and y4(0) = (w^2 + s^2) / m
-# has w^2 + s^2 <= lim + m^2 <= 2 B^2, as |s| <= max(Y3, m) and
-# w^2 + Y3^2 <= lim.
+# residues mod p are smaller, and the classes of p = 1 (mod 4) add
+# w (i/m mod p) and s (-1/m mod p), each below B sqrt(B).  K <= 2 Y3/m + 1
+# <= 2 B + 1, so the numerators K + Q - 1 - c stay below 2 B + 2 sqrt(B);
+# t = (rho w - s) / m lies in [0, (m B + B) / m] and so below 2 B; and
+# y4(0) = (w^2 + s^2) / m has w^2 + s^2 <= lim + m^2 <= 2 B^2, as
+# |s| <= max(Y3, m) and w^2 + Y3^2 <= lim.
 assert 2 * TORSOR_CAP + 2 * isqrt(TORSOR_CAP) < 2**63 and 2 * TORSOR_CAP**2 < 2**63
 
 # So do the sums of a group's terms.  A term counts at most the K of its
@@ -215,18 +216,19 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
     """Exact floor square roots of an int64 array with values in [0, 10^18]:
     the float root is off by at most one there, so one correction step each
     way makes it exact."""
-    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
-    s -= s * s > n
-    s += (s + 1) * (s + 1) <= n
+    s = np.sqrt(n).astype(np.int64)
+    r = n - s * s
+    s -= r < 0
+    s += r > 2 * s  # n >= (s + 1)^2
     return s
 
 
-def _mod(a: np.ndarray, r) -> np.ndarray:
+def _mod(a: np.ndarray, r: int) -> np.ndarray:
     """a % r, in [0, r), for an int64 array a of either sign and a positive
-    modulus r (an int or an int64 array).  numpy's floor division by a
-    scalar is much faster than its remainder (1.2 against 4.7 ns per value
-    with numpy 2.4 on a 2-CPU Xeon), so this takes about half the time of
-    ``a % r``."""
+    int r.  numpy's floor division by a scalar is much faster than its
+    remainder (1.2 against 4.7 ns per value with numpy 2.4 on a 2-CPU Xeon),
+    so this takes about half the time of ``a % r``.  (By an array of moduli,
+    ``%`` is the faster.)"""
     return a - a // r * r
 
 
@@ -247,27 +249,28 @@ def _progressions(B: int, primes, m: int, roots, y2s):
     is a unit mod m.  For m <= 2 the single root is its own negative and
     its progression runs over 1 <= y3 <= Y3.  Each is y3 = start + k m,
     0 <= k < K, and rho w = start + t m; t, start and K have one column per
-    kept root.
+    kept root (views of arrays with one row per kept root).
     """
     lim = B * m
-    y2 = np.asarray(y2s, dtype=np.int64)
     keep = np.ones(isqrt(isqrt((lim - 1) // y2s[0]**2)), dtype=bool)
     for p in primes:
         keep[p - 1::p] = False
-    y0 = np.flatnonzero(keep) + 1
-    # the rows of each cell are a prefix of those of the first: the y0 with
-    # y0^4 <= (lim - 1) // y2^2
-    rows = np.searchsorted(y0**4, (lim - 1) // (y2 * y2), side="right")
-    ends = np.cumsum(rows)
-    y0 = y0[np.arange(ends[-1]) - np.repeat(ends - rows, rows)]
-    w = y0 * y0 * np.repeat(y2, rows)  # w^2 + y3^2 = m y4, and y3 = rho w (mod m)
-    Y3 = _isqrt(lim - w * w)[:, None]  # >= 1, as w^2 < lim
-    rw = w[:, None] * np.array([r for r in roots if m <= 2 or 2 * r < m], dtype=np.int64)
-    low = -Y3 if m > 2 else 1
-    t = (rw - low) // m
-    start = rw - t * m  # the least y3 >= low with y3 = rho w (mod m)
+    y0 = keep.nonzero()[0] + 1
+    if len(y2s) > 1:  # the rows of a cell: the first rows with y0^4 <= (lim - 1) // y2^2
+        y2 = np.array(y2s)
+        rows = (y0**4).searchsorted((lim - 1) // (y2 * y2), side="right")
+        y0 = y0.take(np.arange(rows.sum()) - (rows.cumsum() - rows).repeat(rows))
+        w = y0 * y0 * y2.repeat(rows)
+    else:
+        rows, w = np.array(y0.shape), y0 * (y0 * y2s[0])
+    # w^2 + y3^2 = m y4, and y3 = rho w (mod m); one row per kept root, so
+    # that the arrays of a row broadcast along the last axis
+    Y3 = _isqrt(lim - w * w)  # >= 1, as w^2 < lim
+    rw = np.multiply.outer([r for r in roots if m <= 2 or 2 * r < m], w)
+    t = (rw + Y3) // m if m > 2 else (rw - 1) // m
+    start = rw - t * m  # the least y3 >= low = -Y3 (1 if m <= 2) with y3 = rho w (mod m)
     K = (Y3 - start) // m + 1  # >= 0, as start < low + m
-    return rows, y0, w, t, start, K
+    return rows, y0, w, t.T, start.T, K.T
 
 
 def _cell_blocks(B: int, v1: int, v2: int, y1: int, y2: int, m: int, roots):
@@ -330,14 +333,15 @@ def _divisor_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, d[order], mu[order]
 
 
-def _y4_classes(primes, m: int, y2, s, w):
+def _y4_classes(primes, m: int, y2s, s, w):
     """The classes of k that gcd(y4, v1 v2) = 1 excludes from the
     progressions y3 = s + k m, where ``primes`` are the primes of v1 v2, as
-    [(p, [e, ...], alive), ...]; s holds a row of progressions per y0 row,
-    w a column of the rows, and y2 the cells.
+    [(p, E, alive), ...]; s holds a row of progressions per kept root, with
+    one column per y0 row, w the rows, and y2s the cells.
 
-    Each e has one entry per progression, in the order of s.ravel(); alive
-    (None for every cell) marks the cells where the classes of p apply.
+    E[i] holds the i-th class k = e (mod p) of each progression, in the
+    shape of s; alive, built only where p divides some y2 (None otherwise),
+    marks the cells where the classes of p apply.
     p | y4 reads p | w^2 + y3^2 where p does not divide m, and
     y4(k) = y4(0) + 2 s k + m k^2 = 0 (mod p) where it does:
       - p | y2: nothing, as gcd(y3, y2) = 1 already keeps p from y4;
@@ -352,32 +356,33 @@ def _y4_classes(primes, m: int, y2, s, w):
     """
     out = []
     for p in primes:
+        alive = None
         if m % p:
-            alive = y2 % p != 0
-            alive = None if alive.all() else alive
+            if p % 4 == 3:
+                continue
+            if any(y2 % p == 0 for y2 in y2s):
+                alive = np.array(y2s) % p != 0
             if p == 2:
-                out.append((2, [(s + 1) & 1], alive))
-            elif p % 4 == 1:
+                E = ~s & 1  # k = s + 1 (mod 2)
+            else:
+                # k = (+-i w - s) / m (mod p)
                 u = pow(m, -1, p)
-                iw = _mod(w * _tonelli_sqrt_minus_one(p), p)
-                sp = _mod(s, p)
-                out.append((p, [_mod((iw + p - sp) * u, p), _mod((2 * p - iw - sp) * u, p)],
-                            alive))
+                iu = _tonelli_sqrt_minus_one(p) * u % p
+                E = _mod(w * [[[iu]], [[p - iu]]] + s * (p - u), p)
         elif p > 2:
             y4 = (w * w + s * s) // m
-            out.append((p, [_mod((p - _mod(y4, p)) * _inverses(p)[_mod(2 * s, p)], p)], None))
-    return [(p, [e.ravel() for e in E], alive) for p, E, alive in out]
+            E = _mod(_mod(-y4, p) * _inverses(p).take(_mod(2 * s, p)), p)
+        else:
+            continue
+        out.append((p, E.reshape((-1,) + s.shape), alive))
+    return out
 
 
-def _merge(p: int, E, sign, C, Q, S):
-    """The terms k = C (mod Q) with signs S (one row per class, one column
-    per term) and, for each class k = e (mod p) in E, their CRT merges, with
-    signs -S sign; sign is 1 or a 0/1 array over the columns."""
-    u = _inverses(p)[_mod(Q, p)]
-    cp = p - _mod(C, p)
-    return (np.concatenate([C] + [C + Q * _mod((e + cp) * u, p) for e in E]),
-            np.concatenate([Q] + [Q * p] * len(E)),
-            np.concatenate([S] + [-S * sign] * len(E)))
+def _merge(p: int, E, C, Q, u):
+    """The CRT merges of the classes k = C (mod Q), one for each row of C,
+    with each class k = e (mod p) of the rows of E, where u = Q^-1 (mod p):
+    the classes mod Q p, class of E first (the shape (len(E), len(C), ...))."""
+    return C + Q * _mod((E[:, None] + p - _mod(C, p)) * u, p)
 
 
 def _cell_counts(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s) -> int:
@@ -393,38 +398,60 @@ def _cell_counts(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s) -> int:
     term then takes at most one class of ``_y4_classes`` per prime, merged
     by CRT into one class k = c (mod Q), which holds (K - c + Q - 1) // Q of
     the k.  The term of d = 1 with no class holds all K of the k, so it is
-    added as the sum of K and never built; the terms that merge classes into
-    it (c = e, Q = p) have one column per progression, and those of d > 1
-    run by cell, then by d, then by progression.
+    added as the sum of K and never built.  The terms form one row per
+    choice of classes, the choice of none first, each with the product q of
+    its primes and the sign (-1)^(number of classes).  In a row, the terms
+    of d = 1 (c = e, Q = q) have one entry per progression; those of d > 1
+    (Q = d q) run by root, then by cell, then by d, then by y0 row.
     """
     primes = list(factorize(v1 * v2 * y1))
-    rows, y0, w, t, s, K = _progressions(B, primes, m, roots, y2s)
-    nroots = t.shape[1]
-    y2 = np.asarray(y2s, dtype=np.int64)
-    # y3 = s + k m = m (k - t) (mod w), so d | y3 iff k = t (mod d), as d | w
-    t, K = t.ravel(), K.ravel()
-    classes = _y4_classes([p for p in primes if v1 * v2 % p == 0], m, y2, s, w[:, None])
-    first, dtab, mutab = _divisor_table(isqrt(B))
-    nd = first[y2 + 1] - first[y2] - 1  # divisors d > 1 of each cell
-    npc = rows * nroots  # progressions of each cell
-    ne = np.repeat(npc, nd)  # progressions of each (cell, d)
-    ent = np.arange(nd.sum()) + np.repeat(first[y2] + 1 - nd.cumsum() + nd, nd)  # table entries
-    prog = np.arange(ne.sum()) + np.repeat(np.repeat(npc.cumsum() - npc, nd) - ne.cumsum() + ne, ne)
-    d = np.repeat(dtab[ent], ne)
-    nt = npc * nd  # terms of d > 1 of each cell
-    # row i of the terms: the classes C[i] (mod Q[i]) with signs S[i]
-    C, Q, S = _mod(t[prog], d)[None, :], d[None, :], np.repeat(mutab[ent], ne)[None, :]
-    C1 = Q1 = S1 = np.empty((0, len(K)), dtype=np.int64)  # the merges into d = 1
-    for p, E, alive in classes:
-        sign, sign1 = (1, 1) if alive is None else (np.repeat(alive, nt), np.repeat(alive, npc))
-        C, Q, S = _merge(p, [e[prog] for e in E], sign, C, Q, S)
-        C1, Q1, S1 = _merge(p, E, sign1, C1, Q1, S1)
-        # and the merges of the d = 1 term itself, k = e (mod p)
-        C1 = np.concatenate([C1, E])
-        Q1 = np.concatenate([Q1, np.full((len(E), len(K)), p)])
-        S1 = np.concatenate([S1, np.broadcast_to(-1 * sign1, (len(E), len(K)))])
-    return (int(K.sum()) + int((S * ((K[prog] + Q - 1 - C) // Q)).sum())
-            + int((S1 * ((K + Q1 - 1 - C1) // Q1)).sum()))
+    rows, _, w, t, s, K = _progressions(B, primes, m, roots, y2s)
+    t, s, K = t.T, s.T, K.T  # one row per kept root
+    total = int(K.sum())
+    classes = _y4_classes([p for p in primes if v1 * v2 % p == 0], m, y2s, s, w)
+    some_d = y2s[-1] > 1  # a divisor d > 1 of some y2, as y2s ascend
+    if not (classes or some_d):
+        return total
+    Km1 = K - 1
+    if some_d:
+        # y3 = s + k m = m (k - t) (mod w), so d | y3 iff k = t (mod d), as d | w
+        y2 = np.array(y2s)
+        first, dtab, mutab = _divisor_table(isqrt(B))
+        f = first.take(y2) + 1
+        nd = first.take(y2 + 1) - f  # divisors d > 1 of each cell, from table entry f on
+        ent = np.arange(nd.sum()) + (f - nd.cumsum() + nd).repeat(nd)
+        ne, r0 = rows.repeat(nd), (rows.cumsum() - rows).repeat(nd)  # rows of each (cell, d)
+        row = np.arange(ne.sum()) + (r0 - ne.cumsum() + ne).repeat(ne)
+        d, mu = dtab.take(ent).repeat(ne), mutab.take(ent).repeat(ne)
+        C = (t.take(row, axis=1) % d)[None]
+        if not classes:
+            return total + int((((Km1.take(row, axis=1) + d - C) // d) * mu).sum())
+    qs, signs, C1 = [1], [1], None
+    for p, E, _ in classes:
+        if some_d:
+            Q = d * np.array(qs)[:, None, None]
+            M = _merge(p, E.take(row, axis=2), C, Q, _inverses(p).take(_mod(Q, p)))
+            C = np.concatenate([C, M.reshape(-1, *C.shape[1:])])
+        # the merges into d = 1: k = e (mod p) itself, then the rows after the first
+        if C1 is None:
+            C1 = E
+        else:
+            u = np.array([pow(q, -1, p) for q in qs[1:]])[:, None, None]
+            M = _merge(p, E, C1, np.array(qs[1:])[:, None, None], u)
+            C1 = np.concatenate([C1, np.concatenate([E[:, None], M], 1).reshape(-1, *E.shape[1:])])
+        qs += [q * p for _ in E for q in qs]
+        signs += [-g for _ in E for g in signs]
+    # the weights of the rows: their signs, where each prime p | q applies its classes
+    q, wt = np.array(qs)[:, None, None], np.array(signs)[:, None, None]
+    if alive := [(p, a) for p, _, a in classes if a is not None]:  # so some y2 > 1: some_d
+        P, A = np.array([p for p, _ in alive]), np.array([a for _, a in alive])
+        wt = wt * ((q % P != 0)[..., None] | A).all(axis=2)
+    W1 = wt[1:] if not alive else wt[1:].repeat(rows, axis=2)
+    total += int((((Km1 + q[1:] - C1) // q[1:]) * W1).sum())
+    if some_d:
+        Q, W = d * q, mu * (wt if not alive else wt.repeat(rows * nd, axis=2))
+        total += int((((Km1.take(row, axis=1) + Q - C) // Q) * W).sum())
+    return total
 
 
 def _count_groups(B: int, groups) -> int:
@@ -455,8 +482,9 @@ def _groups(B: int):
     y2_cap) with squarefree v2, a root of -1 modulo m = v2 y1^2 and
     y2_cap >= 1 the largest y2 with v1^4 v2^3 y1^2 y2^2 <= B; in the order
     (v1, v2, y1).  The y2 of its cells are ``_y2s(v2 y1, y2_cap)``; the
-    roots, ``sqrts_minus_one(m)``, are looked up by the process counting it."""
-    pairs = _base_pairs(B)
+    roots, ``sqrts_minus_one(m)``, are looked up by the process counting it.
+    There are none for B < 1."""
+    pairs = _base_pairs(max(B, 0))
     v1 = 1
     while v1**4 <= B:
         b1 = B // v1**4
@@ -484,35 +512,62 @@ def _cells(B: int):
             for y2 in _y2s(v2 * y1, y2_cap))
 
 
+def _count_forked(B: int, shares) -> int:
+    """The sum of ``_count_groups`` over the shares: a forked child counts
+    each share but the last and writes its count to a pipe, while this
+    process counts the last.  Every child is reaped before this returns; a
+    child that fails raises here."""
+    children = []
+    try:
+        for share in shares[:-1]:
+            r, w = os.pipe()
+            if not (pid := os.fork()):  # the child sends its count, or its error, and exits
+                try:
+                    os.write(w, b"%d" % _count_groups(B, share))
+                    os._exit(0)
+                except BaseException as exc:
+                    os.write(w, repr(exc).encode()[:512])
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        counts = [_count_groups(B, shares[-1])] + [f.read() for _, f in children]
+    finally:
+        # a child whose pipe has ended has sent all it will, and one still
+        # running is not wanted (this process's share raised, or it was
+        # interrupted), so each is killed before it is reaped
+        for pid, f in children:
+            os.kill(pid, signal.SIGKILL)
+            f.close()
+            os.waitpid(pid, 0)
+    if failed := [c for c in counts[1:] if not c.isdigit()]:
+        raise RuntimeError(f"a counting process failed: {failed[0].decode() or 'no count'}")
+    return sum(map(int, counts))
+
+
 def count_torsor(B: int, workers: Optional[int] = None) -> int:
     """N(Q1, Q2; B) computed on the auxiliary side.
 
     ``workers`` = W > 1 deals the groups of the walk out once, every W-th
     group to each of W shares: the calling process counts the last share
-    while a fork pool of W - 1 processes counts the others.  W is lowered to
-    the number of groups, so no share is empty.  The result is an exact
-    integer sum and therefore identical for every partition.
+    while W - 1 forked children count the others (``_count_forked``).  W is
+    lowered to the number of groups, so no share is empty.  The result is an
+    exact integer sum and therefore identical for every partition.
     """
-    if B < 1:
-        return 0
     if B > TORSOR_CAP:
         raise SizeCapError(f"count_torsor is capped at B = {TORSOR_CAP}")
     groups = list(_groups(B))
     workers = min(workers or 1, len(groups))
     if workers <= 1:
         return _count_groups(B, groups)
-    import multiprocessing as mp
-
     # the costliest groups (small v1 and y1, many y2) come first in the walk,
     # so dealing them out in turn evens the shares (at B = 10^7 the first half
-    # of the 1,145 groups takes 50-55% of the time).  A worker counts the first
-    # group, (1, 1, 1), whose arrays are the largest (a tracemalloc peak of
-    # 2.2 MB at 10^7).
-    shares = [groups[i::workers] for i in range(workers)]
-    _divisor_table(isqrt(B))  # built before the fork, so every worker inherits it
-    with mp.get_context("fork").Pool(workers - 1) as pool:
-        rest = pool.map_async(partial(_count_groups, B), shares[:-1])
-        return _count_groups(B, shares[-1]) + sum(rest.get())
+    # of the 1,145 groups takes 55-56% of the time, and each of 2 shares
+    # 49-51%).  A child counts the first group, (1, 1, 1), whose arrays are
+    # the largest (a tracemalloc peak of 1.8 MB at 10^7).
+    _divisor_table(isqrt(B))  # built before the fork, so every child inherits them
+    _spf_table()
+    return _count_forked(B, [groups[i::workers] for i in range(workers)])
 
 
 def iter_torsor_points(B: int) -> Iterator[TorsorPoint]:

@@ -1,5 +1,5 @@
+import os
 from math import gcd, isqrt
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,33 +128,44 @@ class TestCounting:
             T.count_torsor(10**9 + 1)
 
     def test_no_more_workers_than_groups(self, monkeypatch):
-        """The pool gets one process per non-empty share but the caller's:
-        B = 10 has two groups and B = 2 one.  The pool is a stand-in that
-        counts the shares in this process, so no process starts."""
-        import multiprocessing
+        """One child per non-empty share but the caller's: B = 10 has two
+        groups and B = 2 one.  The fork helper is a stand-in that counts the
+        shares in this process, so no process starts."""
+        children = []
 
-        pools = []
+        def count_forked(B, shares):
+            assert all(shares)
+            children.append(len(shares) - 1)
+            return sum(T._count_groups(B, share) for share in shares)
 
-        class Pool:
-            def __init__(self, processes):
-                pools.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map_async(self, func, shares):
-                assert all(shares)
-                counts = [func(share) for share in shares]
-                return SimpleNamespace(get=lambda: counts)
-
-        monkeypatch.setattr(multiprocessing, "get_context",
-                            lambda method: SimpleNamespace(Pool=Pool))
+        monkeypatch.setattr(T, "_count_forked", count_forked)
         assert T.count_torsor(10, workers=100000) == S.count_positive_oracle(10)
         assert T.count_torsor(2, workers=5) == 1
-        assert pools == [1]
+        assert children == [1]
+
+    @pytest.mark.parametrize("who", ["child", "caller"])
+    def test_failed_share(self, monkeypatch, who):
+        """A share that raises, in a child or in the calling process, raises
+        in the caller and leaves no child unreaped."""
+        caller = os.getpid()
+        count_groups = T._count_groups
+
+        def failing(B, groups):
+            if (os.getpid() == caller) == (who == "caller"):
+                raise ValueError("share failed")
+            return count_groups(B, groups)
+
+        monkeypatch.setattr(T, "_count_groups", failing)
+        with pytest.raises(RuntimeError if who == "child" else ValueError, match="share failed"):
+            T.count_torsor(10**5, workers=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("B", [-10**6, -1, 0])
+    def test_below_one(self, B):
+        assert T.count_torsor(B) == 0 and T.count_torsor(B, workers=2) == 0
+        assert list(T.iter_torsor_points(B)) == []
+        assert T.main_term_partial_sum(B) == 0.0
 
 
 def brute_cells(B):
@@ -378,6 +389,18 @@ class TestFloorSums:
             got = [T._cell_counts(B, v1, v2, y1, m, roots, [y2]) for y2 in y2s]
             assert got == want, (v1, v2, y1)
             assert T._cell_counts(B, v1, v2, y1, m, roots, y2s) == sum(want), (v1, v2, y1)
+
+    def test_single_cell_groups_at_1e6(self):
+        """Every group whose only cell is y2 = 1, so that no d > 1 divides
+        its y2: the kernel's shortcut for that case."""
+        B, n = 10**6, 0
+        for v1, v2, y1, m, y2_cap in T._groups(B):
+            if T._y2s(v2 * y1, y2_cap) == [1]:
+                roots = tuple(sqrts_minus_one(m))
+                want = oracle_counts(B, v1, v2, y1, m, roots, [1])
+                assert [T._cell_counts(B, v1, v2, y1, m, roots, [1])] == want, (v1, v2, y1)
+                n += 1
+        assert n == 203
 
     def test_rule_cells_cover_every_rule(self):
         assert RULE_CELLS.keys() == RULES.keys()

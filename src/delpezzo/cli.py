@@ -3,7 +3,7 @@
 Subcommands: count, verify, constants, densities, zeta, decompose.
 Reports are CSV (RFC 4180 quoting, UTF-8, LF) or JSON; counts are exact
 integers (serialized as decimal strings in JSON beyond 2^53).  Exit codes:
-0 success, 1 usage error, 2 verification failure, 3 resource cap.
+0 success, 1 usage error, 2 verification failure or other error, 3 resource cap.
 """
 
 from __future__ import annotations
@@ -109,6 +109,17 @@ _quad_tol = _checked(float, lambda t: math.isfinite(t) and t >= MIN_QUAD_TOL,
                      f"finite and >= {MIN_QUAD_TOL:g}")
 
 
+def _writable_file(path: str) -> bool:
+    """True for "-" (stdout) and for a path that is not a directory, in an
+    existing directory this process may write to."""
+    folder = os.path.dirname(path) or "."
+    return path == "-" or (os.path.isdir(folder) and not os.path.isdir(path)
+                           and os.access(folder, os.W_OK | os.X_OK))
+
+
+_out = _checked(str, _writable_file, "a file in an existing, writable directory")
+
+
 def parse_args(argv) -> argparse.Namespace:
     """Strict argv parsing; raises UsageError on bad input.  The namespace
     carries the subcommand's ``body``, which ``run`` calls."""
@@ -151,7 +162,7 @@ def parse_args(argv) -> argparse.Namespace:
 
     for p in sub.choices.values():
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--out", type=_out, default=None, help="output path (default stdout)")
         p.add_argument("--threads", type=_threads, default=None)
         p.add_argument("--no-timestamp", action="store_true")
 

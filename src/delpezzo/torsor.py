@@ -20,11 +20,12 @@ which sieves to isqrt(B) list.  The parallel count deals every W-th
 group to each of W shares, and the roots of -1 mod m are looked up once per
 group.  With w = y0^2 y2 the equation reads w^2 + y3^2 = m y4, so
 y3 = rho w (mod m) for a root rho, and each pair rho, m - rho gives one
-progression y3 = s + k m, 0 <= k < K, over -Y3 <= y3 <= Y3
+progression y3 = rho w + (k - t) m, 0 <= k < K, over -Y3 <= y3 <= Y3
 (``_progressions``).  Every coprimality condition on y3 and y4 is a
 congruence on k, so the counter visits no candidate: it counts each
-progression by floor sums, a Mobius sum over the squarefree d | y2 from one
-divisor table per count, less one or two classes of k per prime of v1 v2,
+progression by floor sums, a Mobius sum over the squarefree d | y2
+(k = t mod d) from one divisor table per count, less one or two classes
+k = t + a + b w (mod p) per prime p of v1 v2, a and b fixed by p and rho,
 merged by the CRT into k = c (mod Q), which holds (K - c + Q - 1) // Q of
 the k.  The term of d = 1 with no class holds all K of the k, so it is
 added as the sum of K and never built (58% of the terms at B = 10^7 and
@@ -52,7 +53,7 @@ from .arith import (
     primes_up_to, sqrts_minus_one, squarefree_part,
     sqrt_minus_one_count,  # noqa: F401  unused, but bench/tracer.py patches this name
 )
-from .errors import NotInDomainError, SizeCapError, TorsorValidationError
+from .errors import DelPezzoError, NotInDomainError, SizeCapError, TorsorValidationError
 
 TORSOR_CAP = 10**9
 
@@ -180,13 +181,12 @@ assert (1 + _BLOCK) * TORSOR_CAP + 2 * TORSOR_CAP**2 < 2**63
 # so do the primes p of the cell.  A CRT step takes a class c (mod Q) to
 # c + Q j < Q p, where j = (e + p - c mod p) u mod p comes from residues
 # e, u < p through a product below 2 p^2 <= 2 B; the other products of two
-# residues mod p are smaller, and the classes of p = 1 (mod 4) add
-# w (i/m mod p) and s (-1/m mod p), each below B sqrt(B).  K <= 2 Y3/m + 1
-# <= 2 B + 1, so the numerators K + Q - 1 - c stay below 2 B + 2 sqrt(B);
-# t = (rho w - s) / m lies in [0, (m B + B) / m] and so below 2 B; and
-# y4(0) = (w^2 + s^2) / m has w^2 + s^2 <= lim + m^2 <= 2 B^2, as
-# |s| <= max(Y3, m) and w^2 + Y3^2 <= lim.
-assert 2 * TORSOR_CAP + 2 * isqrt(TORSOR_CAP) < 2**63 and 2 * TORSOR_CAP**2 < 2**63
+# residues mod p are smaller.  K <= 2 Y3/m + 1 <= 2 B + 1, so the numerators
+# K + Q - 1 - c stay below 2 B + 2 sqrt(B).  t = (rho w - start) / m lies in
+# [0, (m B + B) / m] and so below 2 B, and a class k = t + a + b w (mod p)
+# of _y4_classes has a <= 1 and b < p <= isqrt(B), so with w < B,
+# a + b w + t < B^(3/2) + 2 B + 1, the largest of these bounds.
+assert TORSOR_CAP * isqrt(TORSOR_CAP) + 2 * TORSOR_CAP + 1 < 2**63
 
 # So do the sums of a group's terms.  A term counts at most the K of its
 # progression, and a progression has at most 3^6 = 729 terms: each prime of
@@ -234,8 +234,8 @@ def _mod(a: np.ndarray, r: int) -> np.ndarray:
 
 def _progressions(B: int, primes, m: int, roots, y2s):
     """The progressions of the cells (v1, v2, y1, y2), y2 in ``y2s``
-    ascending, where ``primes`` are the primes of v1 v2 y1: arrays
-    (rows, y0, w, t, start, K).
+    ascending, where ``primes`` are the primes of v1 v2 y1:
+    (rows, y0, w, kept, t, start, K).
 
     The rows of a cell are the y0 with gcd(y0, v1 v2 y1) = 1 and
     w^2 < lim = B m, where w = y0^2 y2; rows[j] counts those of the j-th
@@ -248,8 +248,8 @@ def _progressions(B: int, primes, m: int, roots, y2s):
     progression runs over -Y3 <= y3 <= Y3, where y3 = 0 never lies, as rho w
     is a unit mod m.  For m <= 2 the single root is its own negative and
     its progression runs over 1 <= y3 <= Y3.  Each is y3 = start + k m,
-    0 <= k < K, and rho w = start + t m; t, start and K have one column per
-    kept root (views of arrays with one row per kept root).
+    0 <= k < K, and rho w = start + t m; ``kept`` lists the kept roots,
+    and t, start and K have one row per kept root and one column per y0 row.
     """
     lim = B * m
     keep = np.ones(isqrt(isqrt((lim - 1) // y2s[0]**2)), dtype=bool)
@@ -266,11 +266,12 @@ def _progressions(B: int, primes, m: int, roots, y2s):
     # w^2 + y3^2 = m y4, and y3 = rho w (mod m); one row per kept root, so
     # that the arrays of a row broadcast along the last axis
     Y3 = _isqrt(lim - w * w)  # >= 1, as w^2 < lim
-    rw = np.multiply.outer([r for r in roots if m <= 2 or 2 * r < m], w)
+    kept = [r for r in roots if m <= 2 or 2 * r < m]
+    rw = np.multiply.outer(kept, w)
     t = (rw + Y3) // m if m > 2 else (rw - 1) // m
     start = rw - t * m  # the least y3 >= low = -Y3 (1 if m <= 2) with y3 = rho w (mod m)
     K = (Y3 - start) // m + 1  # >= 0, as start < low + m
-    return rows, y0, w, t.T, start.T, K.T
+    return rows, y0, w, kept, t, start, K
 
 
 def _cell_blocks(B: int, v1: int, v2: int, y1: int, y2: int, m: int, roots):
@@ -289,9 +290,10 @@ def _cell_blocks(B: int, v1: int, v2: int, y1: int, y2: int, m: int, roots):
     y3^2 = m y4 - w^2, so gcd(y3, y2) = 1 already gives gcd(y4, y2) = 1.
     Hence y4 is computed only when rad(v1 v2) > 1.
     """
-    _, y0, w, _, start, K = _progressions(B, factorize(v1 * v2 * y1), m, roots, [y2])
+    _, y0, w, _, _, start, K = _progressions(B, factorize(v1 * v2 * y1), m, roots, [y2])
     if not len(y0):
         return
+    start, K = start.T, K.T  # one row per y0 row
     c = w * w
     T = K.sum(axis=1)
     ends = np.cumsum(T)
@@ -333,48 +335,45 @@ def _divisor_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, d[order], mu[order]
 
 
-def _y4_classes(primes, m: int, y2s, s, w):
+def _y4_classes(primes, m: int, y2s, kept, t, w):
     """The classes of k that gcd(y4, v1 v2) = 1 excludes from the
-    progressions y3 = s + k m, where ``primes`` are the primes of v1 v2, as
-    [(p, E, alive), ...]; s holds a row of progressions per kept root, with
-    one column per y0 row, w the rows, and y2s the cells.
+    progressions of ``_progressions``, as [(p, E, alive), ...], where
+    ``primes`` are the primes of v1 v2, ``kept`` the kept roots, w the rows
+    and t the t of the progressions, a row per kept root and a column per row.
 
-    E[i] holds the i-th class k = e (mod p) of each progression, in the
-    shape of s; alive, built only where p divides some y2 (None otherwise),
-    marks the cells where the classes of p apply.
-    p | y4 reads p | w^2 + y3^2 where p does not divide m, and
-    y4(k) = y4(0) + 2 s k + m k^2 = 0 (mod p) where it does:
+    As y3 = rho w + (k - t) m, y4(k) = w^2 (1 + rho^2)/m + 2 rho w (k - t)
+    + m (k - t)^2, and every class is k = t + a + b w (mod p), with integers
+    a, b of the class and the root.  E[i] holds the i-th class of each
+    progression, in the shape of t; alive, built only where p divides some
+    y2 in ``y2s`` (None otherwise), marks the cells where the classes of p
+    apply.
+    p | y4 reads p | w^2 + y3^2 where p does not divide m:
       - p | y2: nothing, as gcd(y3, y2) = 1 already keeps p from y4;
       - p = 3 (mod 4), p not dividing m: nothing, as p would divide w;
-      - p = 1 (mod 4), p not dividing m: the two classes y3 = +-i w;
-      - p = 2, not dividing m: the class y3 odd (w is odd);
-      - odd p | m: the class k = -y4(0) (2 s)^-1, as s is a unit mod p;
+      - p = 1 (mod 4), p not dividing m: y3 = +-i w with i^2 = -1 (mod p),
+        so (a, b) = (0, (+-i - rho) / m mod p);
+      - p = 2, not dividing m: y3 odd (w is odd), so (a, b) = (1, rho mod 2);
+      - odd p | m: y4(k) = y4(t) + 2 rho w (k - t) (mod p), rho and w units,
+        so (a, b) = (0, -((1 + rho^2)/m) / (2 rho) mod p);
       - p = 2 | m: nothing, as w and y3 = rho w (mod 2) are odd, so
         w^2 + y3^2 = 2 (mod 8) and y4 is odd.
     Every prime of m is 2 or 1 mod 4, as -1 is a square mod m, and divides
-    no y2, as gcd(y2, v2 y1) = 1.
+    no y2, as gcd(y2, v2 y1) = 1.  At t = 0 the classes are anchored at y3 = rho w.
     """
     out = []
     for p in primes:
-        alive = None
-        if m % p:
-            if p % 4 == 3:
-                continue
-            if any(y2 % p == 0 for y2 in y2s):
-                alive = np.array(y2s) % p != 0
-            if p == 2:
-                E = ~s & 1  # k = s + 1 (mod 2)
-            else:
-                # k = (+-i w - s) / m (mod p)
-                u = pow(m, -1, p)
-                iu = _tonelli_sqrt_minus_one(p) * u % p
-                E = _mod(w * [[[iu]], [[p - iu]]] + s * (p - u), p)
-        elif p > 2:
-            y4 = (w * w + s * s) // m
-            E = _mod(_mod(-y4, p) * _inverses(p).take(_mod(2 * s, p)), p)
-        else:
+        if p % 4 == 3 or p == 2 and m % 2 == 0:  # the primes with no class
             continue
-        out.append((p, E.reshape((-1,) + s.shape), alive))
+        alive = None if all(y2 % p for y2 in y2s) else np.array(y2s) % p != 0
+        if m % p == 0:
+            ab = [[(0, -((1 + r * r) // m) * pow(2 * r, -1, p) % p) for r in kept]]
+        elif p == 2:
+            ab = [[(1, r % 2) for r in kept]]
+        else:
+            i, u = _tonelli_sqrt_minus_one(p), pow(m, -1, p)
+            ab = [[(0, (e - r) * u % p) for r in kept] for e in (i, p - i)]
+        a, b = np.array(ab).transpose(2, 0, 1)[..., None]  # (classes, roots, 1) each
+        out.append((p, _mod(a + b * w + t, p), alive))
     return out
 
 
@@ -405,16 +404,15 @@ def _cell_counts(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s) -> int:
     (Q = d q) run by root, then by cell, then by d, then by y0 row.
     """
     primes = list(factorize(v1 * v2 * y1))
-    rows, _, w, t, s, K = _progressions(B, primes, m, roots, y2s)
-    t, s, K = t.T, s.T, K.T  # one row per kept root
+    rows, _, w, kept, t, _, K = _progressions(B, primes, m, roots, y2s)
     total = int(K.sum())
-    classes = _y4_classes([p for p in primes if v1 * v2 % p == 0], m, y2s, s, w)
+    classes = _y4_classes([p for p in primes if v1 * v2 % p == 0], m, y2s, kept, t, w)
     some_d = y2s[-1] > 1  # a divisor d > 1 of some y2, as y2s ascend
     if not (classes or some_d):
         return total
     Km1 = K - 1
     if some_d:
-        # y3 = s + k m = m (k - t) (mod w), so d | y3 iff k = t (mod d), as d | w
+        # y3 = rho w + (k - t) m = (k - t) m (mod w), so d | y3 iff k = t (mod d), as d | w
         y2 = np.array(y2s)
         first, dtab, mutab = _divisor_table(isqrt(B))
         f = first.take(y2) + 1
@@ -516,7 +514,7 @@ def _count_forked(B: int, shares) -> int:
     """The sum of ``_count_groups`` over the shares: a forked child counts
     each share but the last and writes its count to a pipe, while this
     process counts the last.  Every child is reaped before this returns; a
-    child that fails raises here."""
+    child that fails raises a DelPezzoError here."""
     children = []
     try:
         for share in shares[:-1]:
@@ -541,7 +539,7 @@ def _count_forked(B: int, shares) -> int:
             f.close()
             os.waitpid(pid, 0)
     if failed := [c for c in counts[1:] if not c.isdigit()]:
-        raise RuntimeError(f"a counting process failed: {failed[0].decode() or 'no count'}")
+        raise DelPezzoError(f"a counting process failed: {failed[0].decode() or 'no count'}")
     return sum(map(int, counts))
 
 

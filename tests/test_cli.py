@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
 
@@ -170,6 +172,40 @@ class TestExitCodes:
                          "--no-timestamp"]) == cli.EXIT_OK
         row = json.loads(capsys.readouterr().out)["rows"][0]
         assert calls == [200000000] and row["n_uh"] == 243193837
+
+    @pytest.mark.parametrize("out", ["missing/r.json", "file/r.json", "."])
+    def test_bad_out_is_a_usage_error_before_any_work(self, out, tmp_path, monkeypatch, capsys):
+        # a missing directory, a file in place of one, a directory in place of a file
+        from delpezzo import torsor
+
+        def count_torsor(B, workers=None):
+            pytest.fail("the count ran before --out was checked")
+
+        monkeypatch.setattr(torsor, "count_torsor", count_torsor)
+        (tmp_path / "file").write_text("")
+        assert cli.main(["count", "--bmax", "10", "--out", str(tmp_path / out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--out" in err
+
+    def test_killed_counting_child(self, monkeypatch, capsys):
+        # a child killed from outside sends no count: a package error, exit 2
+        from delpezzo import torsor
+
+        caller, count_groups = os.getpid(), torsor._count_groups
+
+        def count_or_die(B, groups):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return count_groups(B, groups)
+
+        monkeypatch.setattr(torsor, "_count_groups", count_or_die)
+        assert cli.main(["count", "--bmax", "100000", "--threads", "2",
+                         "--no-timestamp"]) == cli.EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a counting process failed: no count")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("s", ["58", "1000", "1e300"])
     def test_zeta_at_large_s(self, s):

@@ -9,7 +9,7 @@ from delpezzo import torsor as T
 from delpezzo.arith import (
     factorize, is_squarefree, sqrt_minus_one_count, sqrts_minus_one, squarefree_divisors,
 )
-from delpezzo.errors import NotInDomainError, SizeCapError, TorsorValidationError
+from delpezzo.errors import DelPezzoError, NotInDomainError, SizeCapError, TorsorValidationError
 
 
 class TestValidate:
@@ -156,7 +156,7 @@ class TestCounting:
             return count_groups(B, groups)
 
         monkeypatch.setattr(T, "_count_groups", failing)
-        with pytest.raises(RuntimeError if who == "child" else ValueError, match="share failed"):
+        with pytest.raises(DelPezzoError if who == "child" else ValueError, match="share failed"):
             T.count_torsor(10**5, workers=3)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -251,11 +251,11 @@ class TestPairing:
             lim = B * m
             y0s = [a for a in range(1, isqrt(lim) + 1)
                    if (a * a * y2) ** 2 < lim and gcd(a, v1 * v2 * y1) == 1]
-            rows, y0, _, _, start, K = T._progressions(B, factorize(v1 * v2 * y1), m, roots,
-                                                       [y2])
+            rows, y0, _, _, _, start, K = T._progressions(B, factorize(v1 * v2 * y1), m, roots,
+                                                          [y2])
             assert rows.tolist() == [len(y0s)] and y0.tolist() == y0s
             ms.add(min(m, 3))
-            for a, starts, ks in zip(y0s, start.tolist(), K.tolist()):
+            for a, starts, ks in zip(y0s, start.T.tolist(), K.T.tolist()):
                 w = a * a * y2
                 y3 = np.arange(1, isqrt(lim - w * w) + 1)
                 want = y3[(y3 * y3 + w * w) % m == 0].tolist()
@@ -376,6 +376,37 @@ EXTREME_CELLS = {
 }
 
 
+def check_y4_classes(B, v1, v2, y1, y2s):
+    """The classes of ``_y4_classes`` against y4 in Python ints: for each
+    prime p of v1 v2, on every kept root and every row of a cell with p not
+    dividing its y2, the k in [0, min(K, 3 p)) with p | y4(k) are exactly
+    the k in one of the classes of p (none, for a prime with no class).
+    Returns the number of (prime, root, row) checked."""
+    m = v2 * y1 * y1
+    primes = factorize(v1 * v2 * y1)
+    rows, _, w, kept, t, start, K = T._progressions(B, primes, m, sqrts_minus_one(m), y2s)
+    classes = {p: (E, alive) for p, E, alive in
+               T._y4_classes([p for p in primes if v1 * v2 % p == 0], m, y2s, kept, t, w)}
+    y2_of_row = np.repeat(y2s, rows).tolist()
+    checked = 0
+    for p in _primes(v1 * v2):
+        E, alive = classes.get(p, (np.zeros((0, len(kept), len(w)), dtype=np.int64), None))
+        if alive is not None:
+            assert alive.tolist() == [y2 % p != 0 for y2 in y2s]
+        for j, (wj, y2) in enumerate(zip(w.tolist(), y2_of_row)):
+            if y2 % p == 0:
+                continue
+            for r in range(len(kept)):
+                s, n = int(start[r, j]), min(int(K[r, j]), 3 * p)
+                y4 = [divmod(wj * wj + (s + k * m) ** 2, m) for k in range(n)]
+                assert all(rem == 0 for _, rem in y4)
+                want = [k for k, (q, _) in enumerate(y4) if q % p == 0]
+                es = E[:, r, j].tolist()
+                assert [k for k in range(n) if k % p in es] == want, (v1, v2, y1, y2, p, r, j)
+                checked += 1
+    return checked
+
+
 class TestFloorSums:
     """The floor-sum counter against the enumeration kernel, cell by cell."""
 
@@ -426,6 +457,17 @@ class TestFloorSums:
         # the same cells in one pass give their total
         B, m = T.TORSOR_CAP, v2 * y1 * y1
         assert T._cell_counts(B, v1, v2, y1, m, tuple(sqrts_minus_one(m)), y2s) == sum(want)
+
+    def test_y4_classes_every_group_at_1e4(self):
+        B = 10**4
+        checked = sum(check_y4_classes(B, v1, v2, y1, T._y2s(v2 * y1, y2_cap))
+                      for v1, v2, y1, _, y2_cap in T._groups(B))
+        assert checked > 500
+
+    @pytest.mark.parametrize("rule", list(RULE_CELLS))
+    def test_y4_classes_rule_cells_at_cap(self, rule):
+        v1, v2, y1, y2 = RULE_CELLS[rule]
+        check_y4_classes(T.TORSOR_CAP, v1, v2, y1, [y2])
 
     @staticmethod
     def check_at_cap(v1, v2, y1, y2s):

@@ -198,9 +198,7 @@ def squarefree_divisors(n: int) -> list[tuple[int, int]]:
 
 def _eta_from_factorization(fac: dict[int, int]) -> int:
     out = 1
-    for p, e in fac.items():
-        if e == 0:
-            continue
+    for p, e in fac.items():  # every e >= 1
         if p == 2:
             if e >= 2:
                 return 0
@@ -280,7 +278,7 @@ def sqrts_minus_one(q: int) -> list[int]:
             r = _lift_sqrt_minus_one(p, e)
             local = [r, pe - r]
         # CRT merge
-        inv = pow(modulus % pe, -1, pe) if modulus % pe else None
+        inv = pow(modulus, -1, pe)  # the prime powers are coprime
         new = []
         for x in roots:
             for y in local:
@@ -289,7 +287,7 @@ def sqrts_minus_one(q: int) -> list[int]:
                 new.append(x + modulus * t)
         roots = new
         modulus *= pe
-    roots = sorted(r if r != 0 else q for r in roots)
+    roots = sorted(roots)  # none is 0, as q > 1
     for r in roots:
         assert (r * r + 1) % q == 0
     return roots
@@ -349,9 +347,7 @@ def best_rational_approx(b: int, q: int, rho: int) -> tuple[int, int]:
         raise ValueError("rho is not a square root of -1 mod q")
     num, den = b * rho, q
     best = None
-    for u, v in _convergents(num, den):
-        if 2 * v * v > 4 * q * q:  # way past sqrt(2q); stop
-            break
+    for u, v in _convergents(num, den):  # every v <= q
         if v * v <= 2 * q:
             # |b rho v - u q| * sqrt(2q) <= q  <=>  2*(b rho v - u q)^2 <= q
             x = b * rho * v - u * q
@@ -363,9 +359,7 @@ def best_rational_approx(b: int, q: int, rho: int) -> tuple[int, int]:
             "this contradicts Dirichlet's theorem and signals a bug"
         )
     u, v = best
-    # the lower bound on v is automatic; check it anyway
-    if 2 * v * v * b * b < q:
-        raise DelPezzoError("approximation denominator below the provable range")
+    assert 2 * v * v * b * b >= q, "the lower bound on v is automatic"
     return u, v
 
 
@@ -514,12 +508,9 @@ def _F_frac_tail(t):
 
 
 def _I_inner(A):
-    """I(A) = int_0^1 frac(A / sqrt(v)) dv = 2 A^2 F(A), vectorized, A >= 0."""
+    """I(A) = int_0^1 frac(A / sqrt(v)) dv = 2 A^2 F(A), vectorized, A > 0."""
     A = np.asarray(A, dtype=np.float64)
-    out = np.zeros_like(A)
-    pos = A > 0
-    out[pos] = 2 * A[pos] ** 2 * _F_frac_tail(A[pos])
-    return out
+    return 2 * A**2 * _F_frac_tail(A)
 
 
 def _bernoulli_numbers(n: int) -> tuple[Fraction, ...]:

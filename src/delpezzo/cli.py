@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -100,7 +99,10 @@ def _all_prime(ps: list[int]) -> bool:
     return all(is_prime(p) for p in ps)
 
 
-_primes = _checked(_int_list, _all_prime, "a comma-separated list of primes")
+# an Euler factor takes its prime through a float, so no prime may pass the largest one
+_primes = _checked(_int_list,
+                   lambda ps: all(p <= sys.float_info.max for p in ps) and _all_prime(ps),
+                   "a comma-separated list of primes, each at most the largest float (1.8e308)")
 _grid = _checked(lambda text: sorted(_int_list(text)), lambda g: not g or g[0] >= 1,
                  "a comma-separated list of integers >= 1")
 # the Euler factors, computed at every s, converge only for s > -1/4
@@ -110,14 +112,18 @@ _quad_tol = _checked(float, lambda t: math.isfinite(t) and t >= MIN_QUAD_TOL,
 
 
 def _writable_file(path: str) -> bool:
-    """True for "-" (stdout) and for a path that is not a directory, in an
-    existing directory this process may write to."""
+    """True for "-" (stdout), for an existing file this process may write
+    to, and for a new file in an existing directory it may write to."""
+    if path == "-":
+        return True
+    if os.path.exists(path):
+        return not os.path.isdir(path) and os.access(path, os.W_OK)
     folder = os.path.dirname(path) or "."
-    return path == "-" or (os.path.isdir(folder) and not os.path.isdir(path)
-                           and os.access(folder, os.W_OK | os.X_OK))
+    return os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
 
 
-_out = _checked(str, _writable_file, "a file in an existing, writable directory")
+_out = _checked(str, _writable_file,
+                "a writable file, or a new file in an existing, writable directory")
 
 
 def parse_args(argv) -> argparse.Namespace:
@@ -181,8 +187,6 @@ def _json_safe(value):
         return value if abs(value) <= 2**53 else str(value)
     if isinstance(value, float):
         return value
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     return str(value)
@@ -217,15 +221,21 @@ _SCHEMAS = {
 
 
 def emit_report(rows: list[dict], cfg: argparse.Namespace) -> None:
+    """Write the report to --out or stdout, flushed; a failed write or flush
+    raises DelPezzoError."""
     ts = None
     if not cfg.no_timestamp:
         ts = datetime.now(timezone.utc).isoformat()
     text = render_report(rows, cfg.format, ts, _SCHEMAS.get(cfg.command))
-    if cfg.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    try:
+        if cfg.out in (None, "-"):
+            sys.stdout.write(text)
+            sys.stdout.flush()  # here, not at exit, where a failure would escape
+        else:
+            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise DelPezzoError(f"cannot write the report: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +299,7 @@ def _cmd_constants(cfg: argparse.Namespace) -> tuple[int, list[dict]]:
     from .constants import constant_bundle
 
     b = constant_bundle(cfg.prime_cutoff, cfg.quad_tol, cfg.beta_cutoff)
-    row = dataclasses.asdict(b)
+    row = dict(vars(b))  # a copy: the bundle is frozen
     row["alpha"] = str(b.alpha)
     return EXIT_OK, [row]
 

@@ -289,19 +289,17 @@ def local_density_brute(p: int, r: int, mode: str = "auto") -> Fraction:
     """Exact N(p^r) / p^(3r) with N(p^r) the number of residue 5-tuples
     modulo p^r solving both forms.
 
-    ``mode``: 'naive' scans all p^(5r) tuples (cap 10^8); 'tables' counts
-    by valuation classes of (x0, x1) in O(r^2 p^r) time (cap p^r <= 10^7);
-    'auto' picks naive when it fits and tables otherwise.
+    ``mode``: 'tables' counts by valuation classes of (x0, x1) in
+    O(r^2 p^r) time (cap p^r <= 10^7); 'auto' is 'tables'; 'naive' scans
+    all p^(5r) tuples (cap 10^8) and is the oracle of 'tables'.
     """
     if r < 1:
         raise ValueError("r >= 1 required")
-    if mode == "auto":
-        mode = "naive" if p ** (5 * r) <= NAIVE_DENSITY_CAP else "tables"
     if mode == "naive":
         if p ** (5 * r) > NAIVE_DENSITY_CAP:
             raise SizeCapError(f"naive density count needs p^(5r) <= {NAIVE_DENSITY_CAP}")
         n = _density_count_naive(p, r)
-    elif mode == "tables":
+    elif mode in ("auto", "tables"):
         if p**r > FAST_DENSITY_CAP:
             raise SizeCapError(f"table density count needs p^r <= {FAST_DENSITY_CAP}")
         n = _density_count_tables(p, r)
@@ -407,8 +405,10 @@ def constant_bundle(
 ) -> ConstantBundle:
     """Compute every constant with propagated error estimates.
 
-    Cross-identities enforced: omega_inf = 16 c within 2 * quad_tol (both
-    sides quadrature), and peyre = alpha * tau_H = leading coefficient.
+    Cross-identity enforced: omega_inf = 16 c within 2 * quad_tol (both
+    sides quadrature).  peyre = alpha * tau_H is not compared with the
+    leading coefficient here; criterion 4 (tests/test_acceptance.py) and
+    tests/test_cli.py check that they agree.
     """
     from .arith import linear_term_constant
 

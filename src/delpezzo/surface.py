@@ -46,10 +46,6 @@ class SurfacePoint:
         if eval_forms(self.x) != (0, 0):
             raise NotInDomainError(f"{self.x} does not satisfy Q1 = Q2 = 0")
 
-    @property
-    def coords(self):
-        return self.x
-
 
 def canonicalize(x) -> SurfacePoint:
     """Projective normal form: divide by the gcd, then flip the global sign
@@ -180,9 +176,7 @@ def iter_positive_solutions(B: int) -> Iterator[tuple[int, int, int, int, int]]:
                 c = z0**4 * z2 * z2
                 x0 = z0 * z0 * z2
                 x2 = z0 * z1 * z2
-                x3_cap = isqrt(B * m - c)
-                if x3_cap < 1:
-                    continue
+                x3_cap = isqrt(B * m - c)  # >= 1, as c <= B m - 1
                 x3s = np.arange(1, x3_cap + 1, dtype=np.int64)
                 for x3 in x3s[(c + x3s * x3s) % m == 0].tolist():
                     x4 = (c + x3 * x3) // m
@@ -196,9 +190,7 @@ def count_positive_oracle(B: int) -> int:
 
 
 def _coprime_pairs(n: int) -> int:
-    """#{(a, b) in [1, n]^2 : gcd(a, b) = 1} by Mobius inversion."""
-    if n <= 0:
-        return 0
+    """#{(a, b) in [1, n]^2 : gcd(a, b) = 1} by Mobius inversion, n >= 1."""
     return int((mobius_sieve(n)[1:] * (n // np.arange(1, n + 1)) ** 2).sum())
 
 

@@ -115,19 +115,16 @@ def to_surface(t: TorsorPoint):
     return SurfacePoint(x)
 
 
-def _exact_sqrt(n: int, what: str) -> int:
-    r = isqrt(n)
-    if r * r != n:
-        raise NotInDomainError(f"{what} = {n} is not a perfect square")
-    return r
-
-
 def from_surface(p) -> TorsorPoint:
     """Invert the substitution for an all-positive primitive point on X.
 
     Chain: z2 = gcd(x0, x1) splits Q1; v2 is the squarefree part of z2;
     then x3 = v2 y2' y3', z1 = v2 y1', v1 = gcd(y1', y3'), y2' = v1 y2.
-    Any failed exactness step means the input violates the preconditions.
+    A point that passes the three checks makes every step exact (asserted):
+    x0 x1 = x2^2 makes x0/z2 and x1/z2 coprime squares; Q2 gives
+    v2 y2'^2 | x3^2, so v2 y2' | x3; a prime of v2 not dividing z1 would
+    divide every coordinate; and p^a | v1 gives p^a | y2' through
+    v2 y1'^2 x4 = z0^4 y2'^2 + y3'^2, as p divides z1 and so not z0.
     """
     from .surface import eval_forms
 
@@ -141,19 +138,15 @@ def from_surface(p) -> TorsorPoint:
         raise NotInDomainError("point is not primitive")
 
     z2 = gcd(x0, x1)
-    z0 = _exact_sqrt(x0 // z2, "x0/gcd(x0,x1)")
-    z1 = _exact_sqrt(x1 // z2, "x1/gcd(x0,x1)")
+    z0, z1 = isqrt(x0 // z2), isqrt(x1 // z2)
     v2 = squarefree_part(z2)
-    y2p = _exact_sqrt(z2 // v2, "square part of gcd(x0,x1)")
-    if x3 % (v2 * y2p):
-        raise NotInDomainError("v2*y2' does not divide x3")
+    y2p = isqrt(z2 // v2)
+    assert z0 * z0 * z2 == x0 and z1 * z1 * z2 == x1 and v2 * y2p * y2p == z2
+    assert x3 % (v2 * y2p) == 0 and z1 % v2 == 0
     y3p = x3 // (v2 * y2p)
-    if z1 % v2:
-        raise NotInDomainError("v2 does not divide z1")
     y1p = z1 // v2
     v1 = gcd(y1p, y3p)
-    if y2p % v1:
-        raise NotInDomainError("v1 does not divide y2'")
+    assert y2p % v1 == 0
     return validate((v1, v2, z0, y1p // v1, y2p // v1, y3p // v1, x4))
 
 
@@ -546,24 +539,23 @@ def _count_forked(B: int, shares) -> int:
 def count_torsor(B: int, workers: Optional[int] = None) -> int:
     """N(Q1, Q2; B) computed on the auxiliary side.
 
-    ``workers`` = W > 1 deals the groups of the walk out once, every W-th
-    group to each of W shares: the calling process counts the last share
-    while W - 1 forked children count the others (``_count_forked``).  W is
-    lowered to the number of groups, so no share is empty.  The result is an
-    exact integer sum and therefore identical for every partition.
+    ``workers`` = W deals the groups of the walk out once, every W-th group
+    to each of W shares: the calling process counts the last share while
+    W - 1 forked children count the others (``_count_forked``), so W = 1
+    forks none.  W is lowered to the number of groups, but not below 1, so
+    no share is empty unless there are no groups.  The result is an exact
+    integer sum and therefore identical for every partition.
     """
     if B > TORSOR_CAP:
         raise SizeCapError(f"count_torsor is capped at B = {TORSOR_CAP}")
     groups = list(_groups(B))
-    workers = min(workers or 1, len(groups))
-    if workers <= 1:
-        return _count_groups(B, groups)
+    workers = max(1, min(workers or 1, len(groups)))
     # the costliest groups (small v1 and y1, many y2) come first in the walk,
     # so dealing them out in turn evens the shares (at B = 10^7 the first half
     # of the 1,145 groups takes 55-56% of the time, and each of 2 shares
     # 49-51%).  A child counts the first group, (1, 1, 1), whose arrays are
     # the largest (a tracemalloc peak of 1.8 MB at 10^7).
-    _divisor_table(isqrt(B))  # built before the fork, so every child inherits them
+    _divisor_table(isqrt(max(B, 0)))  # built before the fork, so every child inherits them
     _spf_table()
     return _count_forked(B, [groups[i::workers] for i in range(workers)])
 

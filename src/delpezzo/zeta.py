@@ -85,7 +85,6 @@ def l_chi_real(s: float) -> SeriesEval:
     if s <= 0:
         raise DelPezzoError("l_chi_real requires s > 0")
     J = 6
-    N = 16
     for N in (16, 32, 64, 128, 256, 512):
         _, b1 = _hurwitz_tail_terms(s, N + 0.25, J)
         _, b2 = _hurwitz_tail_terms(s, N + 0.75, J)

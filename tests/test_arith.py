@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from delpezzo import arith as A
+from delpezzo import constants as C
+from delpezzo import surface as S
 from delpezzo import torsor as T
+from delpezzo import zeta as Z
 from delpezzo.errors import DelPezzoError, SizeCapError
 
 
@@ -530,3 +533,28 @@ class TestErrors:
         assert A.fractional_part_double_integral(np.int64(3)) == A.fractional_part_double_integral(3)
         A.warm_dint_cache(np.array([4, 300]))
         assert A._DINT_CACHE[300] == A.fractional_part_double_integral(np.int64(300))
+
+    def test_dint_fills_the_cache_on_a_miss(self, monkeypatch):
+        want = A.fractional_part_double_integral(7)
+        monkeypatch.setattr(A, "_DINT_CACHE", {})
+        assert A.fractional_part_double_integral(7) == want and 7 in A._DINT_CACHE
+
+    @pytest.mark.parametrize("call,error", [
+        (lambda: A.sqrts_minus_one(0), ValueError),
+        (lambda: A.progression_count_and_remainder(5, 1, 0), ValueError),
+        (lambda: A.progression_count_and_remainder(-1, 1, 3), ValueError),
+        (lambda: A.residue_density(0, 1, 1, 1), ValueError),
+        (lambda: A.residue_density_mobius(1, 1, 1, 0), ValueError),
+        (lambda: A.main_term_coefficient(0), ValueError),
+        (lambda: A.linear_term_constant(0), ValueError),
+        (lambda: C.local_density_brute(2, 0), ValueError),
+        (lambda: C.local_density_brute(2, 1, mode="fast"), ValueError),
+        (lambda: S.count_naive(0), SizeCapError),
+        (lambda: S.count_degenerate(0), SizeCapError),
+        (lambda: next(T.iter_torsor_points(T.TORSOR_CAP + 1)), SizeCapError),
+        (lambda: Z.leading_factor_at_one((-1.0, 0.0)), DelPezzoError),
+    ])
+    def test_library_rejections(self, call, error):
+        # each public function refuses input outside its domain itself
+        with pytest.raises(error):
+            call()

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -139,6 +140,8 @@ class TestExitCodes:
         ["count", "--bmax", "10", "--threads", "-2"],
         ["count", "--bmax", "10", "--threads", "257"],  # one past MAX_THREADS
         ["count", "--bmax", "10", "--threads", "100000"],
+        ["zeta", "--p", str(2**1279 - 1)],  # a prime past the float range
+        ["densities", "--p", str(2**1279 - 1)],
     ])
     def test_domain_errors_are_usage_errors(self, args, capsys):
         assert cli.main(args) == cli.EXIT_USAGE
@@ -207,6 +210,75 @@ class TestExitCodes:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("method", ["naive", "oracle", "torsor"])
+    def test_count_methods_agree(self, method, capsys):
+        # "--out -" is stdout
+        assert cli.main(["count", "--bmax", "20", "--method", method, "--threads", "1",
+                         "--out", "-", "--no-timestamp"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["rows"][0]["N_pos"] == 16
+
+    def test_verify_reports_a_failed_round_trip(self, monkeypatch, capsys):
+        from delpezzo import torsor
+
+        monkeypatch.setattr(torsor, "from_surface", lambda p: None)
+        assert cli.main(["verify", "--suite", "all", "--bmax", "20", "--threads", "1",
+                         "--no-timestamp"]) == cli.EXIT_VERIFY
+        rows = {r["check"]: r["pass"] for r in json.loads(capsys.readouterr().out)["rows"]}
+        assert rows == {"count_equality": True, "round_trip": False, "sign_identities": True}
+
+    def test_largest_prime_in_the_float_range(self, capsys):
+        from delpezzo.arith import is_prime
+
+        p = int(sys.float_info.max)
+        while not is_prime(p):
+            p -= 1
+        assert cli.main(["zeta", "--p", str(p), "--prime-cutoff", "100",
+                         "--no-timestamp"]) == cli.EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert {r["name"]: r["value"] for r in rows}[f"euler_factor_p{p}"] == 1.0
+
+    def test_out_is_checked_on_the_file_itself_when_it_exists(self, tmp_path, monkeypatch, capsys):
+        # an existing file is written whatever its directory allows, and is
+        # refused when the file itself is not writable
+        out, access = tmp_path / "r.json", os.access
+        out.write_text("")
+        args = ["count", "--bmax", "1000", "--threads", "1", "--no-timestamp", "--out", str(out)]
+        monkeypatch.setattr(os, "access", lambda path, mode: str(path) != str(tmp_path)
+                            and access(path, mode))
+        assert cli.main(args) == cli.EXIT_OK
+        assert json.loads(out.read_text())["rows"][0]["N_pos"] == 2214
+        monkeypatch.setattr(os, "access", lambda path, mode: str(path) != str(out)
+                            and access(path, mode))
+        assert cli.main(args) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    def test_report_to_a_full_device(self, capsys):
+        # a failed write is a package error, exit 2, with one error line
+        assert cli.main(["count", "--bmax", "10", "--out", "/dev/full"]) == cli.EXIT_VERIFY
+        assert capsys.readouterr().err.startswith("error: cannot write the report:")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "delpezzo.cli", "count", "--bmax", "10"],
+                                  stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == cli.EXIT_VERIFY
+        assert proc.stderr.startswith("error: cannot write the report:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_report_to_a_failing_stdout(self, failing, monkeypatch, capsys):
+        # the report is flushed before main returns, so a small one fails there too
+        class Full(io.StringIO):
+            pass
+
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        setattr(Full, failing, fail)
+        monkeypatch.setattr(sys, "stdout", Full())
+        assert cli.main(["count", "--bmax", "10", "--no-timestamp"]) == cli.EXIT_VERIFY
+        assert capsys.readouterr().err == (
+            "error: cannot write the report: [Errno 28] No space left on device\n")
+
     @pytest.mark.parametrize("s", ["58", "1000", "1e300"])
     def test_zeta_at_large_s(self, s):
         # p^x and 4^s overflow a double past x = 1024; every value tends to 1
@@ -245,6 +317,9 @@ class TestReports:
         text = cli.render_report([], "csv", None,
                                  cli._SCHEMAS["decompose"])
         assert text == "B,n_uh,main_delta,main_linear,residual,residual_scaled\n"
+
+    def test_csv_timestamp_line(self):
+        assert cli.render_report([{"a": 1}], "csv", "T") == "# generated T\na\n1\n"
 
     def test_timestamp_line_suppressed(self):
         with_ts = run_cli(["count", "--bmax", "50"]).stdout

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from delpezzo import constants as C
@@ -35,6 +36,11 @@ class TestQuadrature:
     def test_tolerance_floor(self):
         with pytest.raises(ToleranceError):
             C.real_density_integral(1e-20)
+
+    def test_no_convergence_at_the_maximal_depth(self):
+        # the panel holding the jump halves down to the maximal depth and fails
+        with pytest.raises(ToleranceError):
+            C.adaptive_quadrature(lambda x: np.where(x < 1 / 3, 0.0, 1.0), 0.0, 1.0, 1e-300)
 
     def test_nan_tolerance_rejected(self):
         # NaN compares false both ways, so a `tol < floor` guard would let it
@@ -99,7 +105,8 @@ class TestLocalDensities:
         assert C.local_density_closed(3) == Fraction(16, 9)
         assert C.local_density_closed(5) == Fraction(56, 25)
 
-    @pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)])
+    @pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3),
+                                     (5, 1), (5, 2), (7, 1)])
     def test_naive_is_oracle_for_tables(self, p, r):
         assert C.local_density_brute(p, r, mode="naive") == \
             C.local_density_brute(p, r, mode="tables")

@@ -129,7 +129,8 @@ class TestCounting:
 
     def test_no_more_workers_than_groups(self, monkeypatch):
         """One child per non-empty share but the caller's: B = 10 has two
-        groups and B = 2 one.  The fork helper is a stand-in that counts the
+        groups and B = 2 one, so B = 2 hands the fork helper one share and
+        starts no child.  The fork helper is a stand-in that counts the
         shares in this process, so no process starts."""
         children = []
 
@@ -141,7 +142,7 @@ class TestCounting:
         monkeypatch.setattr(T, "_count_forked", count_forked)
         assert T.count_torsor(10, workers=100000) == S.count_positive_oracle(10)
         assert T.count_torsor(2, workers=5) == 1
-        assert children == [1]
+        assert children == [1, 0]
 
     @pytest.mark.parametrize("who", ["child", "caller"])
     def test_failed_share(self, monkeypatch, who):

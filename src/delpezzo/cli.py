@@ -227,15 +227,30 @@ def emit_report(rows: list[dict], cfg: argparse.Namespace) -> None:
     if not cfg.no_timestamp:
         ts = datetime.now(timezone.utc).isoformat()
     text = render_report(rows, cfg.format, ts, _SCHEMAS.get(cfg.command))
+    to_stdout = cfg.out in (None, "-")
     try:
-        if cfg.out in (None, "-"):
+        if to_stdout:
             sys.stdout.write(text)
             sys.stdout.flush()  # here, not at exit, where a failure would escape
         else:
             with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
     except OSError as exc:
+        if to_stdout:
+            _discard_stdout()
         raise DelPezzoError(f"cannot write the report: {exc}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device: a buffered stdout keeps
+    a failed flush's bytes, whose retry at exit would make the exit code 120."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # a stream with no descriptor keeps nothing at exit
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 # ---------------------------------------------------------------------------

@@ -140,13 +140,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def iroot4(n: int) -> int:
-    """Largest r >= 0 with r^4 <= n, and -1 for negative n."""
-    if n < 0:
-        return -1
-    return isqrt(isqrt(n))
-
-
 def chi(n: int) -> int:
     """Real non-principal character mod 4: +1, -1, 0 for n = 1, 3, even (mod 4)."""
     if n % 2 == 0:
@@ -156,7 +149,7 @@ def chi(n: int) -> int:
 
 @lru_cache(maxsize=1 << 17)
 def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(factorize(n).items()))
+    return tuple(factorize(n).items())
 
 
 @lru_cache(maxsize=1 << 17)
@@ -181,33 +174,16 @@ def squarefree_part(n: int) -> int:
     return s
 
 
-def _squarefree_divisors_of_primes(primes) -> list[tuple[int, int]]:
+def squarefree_divisors(n: int) -> list[tuple[int, int]]:
+    """All squarefree divisors of ``n`` with their Mobius signs, as (d, mu(d))."""
     divs = [(1, 1)]
-    for p in primes:
+    for p, _ in _factor_pairs(n):
         divs += [(d * p, -m) for d, m in divs]
     return divs
 
 
-def squarefree_divisors(n: int) -> list[tuple[int, int]]:
-    """All squarefree divisors of ``n`` with their Mobius signs, as (d, mu(d))."""
-    return _squarefree_divisors_of_primes([p for p, _ in _factor_pairs(n)])
-
-
 # ---------------------------------------------------------------------------
 # square roots of -1
-
-def _eta_from_factorization(fac: dict[int, int]) -> int:
-    out = 1
-    for p, e in fac.items():  # every e >= 1
-        if p == 2:
-            if e >= 2:
-                return 0
-        elif p % 4 == 3:
-            return 0
-        else:
-            out *= 2
-    return out
-
 
 def sqrt_minus_one_count(q: int) -> int:
     """Number of solutions of ``r^2 = -1 (mod q)``; multiplicative in q.
@@ -217,19 +193,16 @@ def sqrt_minus_one_count(q: int) -> int:
     """
     if q < 1:
         raise ValueError("q >= 1 required")
-    return _eta_from_factorization(factorize(q))
-
-
-def sqrt_minus_one_count_of_product(parts) -> int:
-    """Count for a product given as (base, exponent) pairs; factorizes the
-    small bases instead of their (possibly huge) product."""
-    merged: dict[int, int] = {}
-    for base, exp in parts:
-        if base == 1 or exp == 0:
-            continue
-        for p, e in _factor_pairs(base):
-            merged[p] = merged.get(p, 0) + e * exp
-    return _eta_from_factorization(merged)
+    out = 1
+    for p, e in _factor_pairs(q):
+        if p == 2:
+            if e >= 2:
+                return 0
+        elif p % 4 == 3:
+            return 0
+        else:
+            out *= 2
+    return out
 
 
 def _tonelli_sqrt_minus_one(p: int) -> int:
@@ -343,6 +316,8 @@ def best_rational_approx(b: int, q: int, rho: int) -> tuple[int, int]:
     """
     if b == 0:
         raise ValueError("b must be nonzero")
+    if q < 1:
+        raise ValueError("q >= 1 required")
     if (rho * rho + 1) % q != 0:
         raise ValueError("rho is not a square root of -1 mod q")
     num, den = b * rho, q
@@ -379,7 +354,7 @@ def residue_density(v1: int, v2: int, y1: int, y2: int) -> Fraction:
         raise ValueError("arguments must be positive")
     if not (is_squarefree(v2) and gcd(y2, v2 * y1) == 1):
         return Fraction(0)
-    eta = sqrt_minus_one_count_of_product(((v2, 1), (y1, 2)))
+    eta = sqrt_minus_one_count(v2 * y1 * y1)
     if eta == 0:
         return Fraction(0)
     out = Fraction(eta) * Fraction(euler_phi(y2), y2)
@@ -405,7 +380,7 @@ def residue_density_mobius(v1: int, v2: int, y1: int, y2: int) -> Fraction:
     for k4, mu in squarefree_divisors(d):
         if gcd(k4, y2) != 1:
             continue
-        num += mu * sqrt_minus_one_count_of_product(((k4, 1), (v2, 1), (y1, 2))) * (d // k4)
+        num += mu * sqrt_minus_one_count(k4 * v2 * y1 * y1) * (d // k4)
     return Fraction(euler_phi(y2), y2) * Fraction(num, d)
 
 
@@ -775,7 +750,7 @@ def fractional_part_double_integral(C: int) -> float:
 #   S(m)   all sorted moduli at once, slot by slot: slot j divides m by the
 #          product k0 of its primes at the set bits of j and adds
 #          (-1)^popcount(j) dint(m/k0), the order of
-#          _squarefree_divisors_of_primes; dint(m/k0) is found by searchsorted
+#          squarefree_divisors; dint(m/k0) is found by searchsorted
 #          in the moduli, which are closed under m -> m/k0 (_mobius_dint_sums).
 #   sum    pref * S(m) / m^2, added strictly left to right by
 #          np.add.accumulate (np.sum would add pairwise), in blocks of whole
@@ -828,7 +803,7 @@ def _prefactors(eta, v2, y1, v1, primes) -> np.ndarray:
 def _mobius_dint_sums(ms, primes, keys, dints) -> np.ndarray:
     """S(m) = sum over squarefree k0 | m of mu(k0) * dint(m/k0) for every m
     of the int64 array ``ms``, added in the order of
-    _squarefree_divisors_of_primes.  ``primes`` ascending, holding every
+    squarefree_divisors.  ``primes`` ascending, holding every
     prime of each m; ``dints[i]`` is dint(keys[i]) for the sorted ``keys``,
     which must contain every m/k0."""
     hits = [(p, np.flatnonzero(ms % p == 0)) for p in primes]
@@ -879,8 +854,7 @@ def linear_term_constant(cutoff: int) -> tuple[float, float]:
     primes = primes_up_to(cutoff).tolist()
     n = np.arange(1, cutoff + 1, dtype=np.int64)
     eta = _eta_grid(n, n, primes)
-    for p in primes:  # |mu(v2)|
-        eta[n % (p * p) == 0] = 0
+    eta[mobius_sieve(cutoff)[1:] == 0] = 0  # |mu(v2)|
     v2, y1 = np.nonzero(eta)  # the pairs (v2, y1) with a term, in row order
     eta = eta[v2, y1]
     v2 += 1

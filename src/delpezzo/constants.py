@@ -410,6 +410,7 @@ def constant_bundle(
     leading coefficient here; criterion 4 (tests/test_acceptance.py) and
     tests/test_cli.py check that they agree.
     """
+    # lazy, so the linear_term_constant that bench/tracer.py patches is the one called
     from .arith import linear_term_constant
 
     c, c_err = real_density_integral(quad_tol)

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import iroot4, mobius_sieve
+from .arith import mobius_sieve
 from .errors import InvalidPointError, NotInDomainError, SizeCapError
 
 NAIVE_CAP = 30
@@ -53,9 +53,7 @@ def canonicalize(x) -> SurfacePoint:
     v = [int(c) for c in x]
     if all(c == 0 for c in v):
         raise InvalidPointError("the zero vector does not define a projective point")
-    g = 0
-    for c in v:
-        g = gcd(g, abs(c))
+    g = gcd(*v)
     v = [c // g for c in v]
     for c in v:
         if c != 0:
@@ -134,10 +132,7 @@ def count_naive(B: int) -> CountBreakdown:
                     if abs(x4) > B:
                         continue
                     v = (x0, x1, x2, x3, x4)
-                    g = 0
-                    for c in v:
-                        g = gcd(g, abs(c))
-                    if g != 1:
+                    if gcd(*v) != 1:
                         continue
                     if 0 not in v:
                         s_total += 1
@@ -169,7 +164,7 @@ def iter_positive_solutions(B: int) -> Iterator[tuple[int, int, int, int, int]]:
         for z1 in range(1, isqrt(B // z2) + 1):
             m = z1 * z1 * z2
             x1 = m
-            z0_cap = iroot4((B * m - 1) // (z2 * z2))
+            z0_cap = isqrt(isqrt((B * m - 1) // (z2 * z2)))
             for z0 in range(1, z0_cap + 1):
                 if gcd(z0, z1) != 1:
                     continue
@@ -180,7 +175,7 @@ def iter_positive_solutions(B: int) -> Iterator[tuple[int, int, int, int, int]]:
                 x3s = np.arange(1, x3_cap + 1, dtype=np.int64)
                 for x3 in x3s[(c + x3s * x3s) % m == 0].tolist():
                     x4 = (c + x3 * x3) // m
-                    if gcd(gcd(gcd(x0, x1), gcd(x2, x3)), x4) == 1:
+                    if gcd(x0, x1, x2, x3, x4) == 1:
                         yield (x0, x1, x2, x3, x4)
 
 
@@ -217,7 +212,7 @@ def count_degenerate(B: int) -> DegenerateCount:
         raise SizeCapError("B >= 1 required")
     if B > DEGENERATE_CAP:
         raise SizeCapError(f"count_degenerate is capped at B = {DEGENERATE_CAP}")
-    vectors = 2 + 4 * _coprime_pairs(isqrt(B)) + 4 * _coprime_pairs(iroot4(B))
+    vectors = 2 + 4 * _coprime_pairs(isqrt(B)) + 4 * _coprime_pairs(isqrt(isqrt(B)))
     points = vectors // 2
     return DegenerateCount(
         B=B, vectors=vectors, points=points,

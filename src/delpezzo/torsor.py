@@ -54,6 +54,7 @@ from .arith import (
     sqrt_minus_one_count,  # noqa: F401  unused, but bench/tracer.py patches this name
 )
 from .errors import DelPezzoError, NotInDomainError, SizeCapError, TorsorValidationError
+from .surface import SurfacePoint, eval_forms
 
 TORSOR_CAP = 10**9
 
@@ -97,8 +98,6 @@ def validate(t) -> TorsorPoint:
 
 def to_surface(t: TorsorPoint):
     """The forward substitution; the image is primitive, positive and on X."""
-    from .surface import SurfacePoint, eval_forms
-
     v1, v2, y0, y1, y2, y3, y4 = t.as_tuple()
     x = (
         v1**2 * v2 * y0**2 * y2**2,
@@ -108,10 +107,7 @@ def to_surface(t: TorsorPoint):
         y4,
     )
     assert eval_forms(x) == (0, 0), "forward image left the surface (bug)"
-    g = 0
-    for c in x:
-        g = gcd(g, c)
-    assert g == 1, "forward image is not primitive (bug)"
+    assert gcd(*x) == 1, "forward image is not primitive (bug)"
     return SurfacePoint(x)
 
 
@@ -126,15 +122,13 @@ def from_surface(p) -> TorsorPoint:
     divide every coordinate; and p^a | v1 gives p^a | y2' through
     v2 y1'^2 x4 = z0^4 y2'^2 + y3'^2, as p divides z1 and so not z0.
     """
-    from .surface import eval_forms
-
     coords = p.x if hasattr(p, "x") else tuple(p)
     x0, x1, x2, x3, x4 = (int(c) for c in coords)
     if min(x0, x1, x2, x3, x4) < 1:
         raise NotInDomainError("all coordinates must be positive")
     if eval_forms((x0, x1, x2, x3, x4)) != (0, 0):
         raise NotInDomainError("point is not on the surface")
-    if gcd(gcd(gcd(x0, x1), gcd(x2, x3)), x4) != 1:
+    if gcd(x0, x1, x2, x3, x4) != 1:
         raise NotInDomainError("point is not primitive")
 
     z2 = gcd(x0, x1)

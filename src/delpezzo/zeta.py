@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import BERNOULLI, chi, primes_up_to
-from .constants import euler_primes, ordered_product
+from .arith import BERNOULLI, chi, linear_term_constant, main_term_coefficient, primes_up_to
+from .constants import euler_primes, ordered_product, real_density_integral
 from .errors import DelPezzoError, SizeCapError
 
 # Bernoulli numbers B_2, B_4, ..., B_20
@@ -202,8 +202,6 @@ def euler_product_truncated(s: float, prime_cutoff: int) -> float:
 def dirichlet_sum_truncated(s: float, n_max: int) -> float:
     """sum_{n <= n_max} Delta(n) / n^(s + 1/4): the direct-series side of the
     Euler-product identity at shifted argument s + 1/4."""
-    from .arith import main_term_coefficient
-
     total = 0.0
     for n in range(1, n_max + 1):
         d = main_term_coefficient(n)
@@ -242,10 +240,10 @@ def residual_product_at_zero(prime_cutoff: int = 10**6) -> tuple[float, float]:
 def leading_factor_at_one(residual: tuple[float, float]) -> tuple[float, float]:
     """G1(1) = 16 c H(0) / E2(1), from the pair (H(0), error) that
     residual_product_at_zero returns; necessarily nonzero (asserted positive)."""
-    from .constants import real_density_integral
-
-    c, c_err = real_density_integral()
     h0, h0_err = residual
+    if not h0 > 0:
+        raise DelPezzoError("H(0) must be positive")
+    c, c_err = real_density_integral()
     e2 = correction_zeta_product(1.0)
     val = 16 * c * h0 / e2.value
     rel = c_err / c + h0_err / h0 + e2.error / abs(e2.value)
@@ -268,8 +266,7 @@ def count_decomposition(
     (4 c B^(3/4) sum_{n<=B} Delta(n)), main_linear ((12/pi^2 + 4 beta) B),
     residual, residual_scaled (residual / B^0.9).
     """
-    from .arith import linear_term_constant
-    from .constants import real_density_integral
+    # lazy: the zeta command does not load the counter
     from .surface import count_degenerate
     from .torsor import TORSOR_CAP, count_torsor, main_term_partial_sum
 

@@ -128,9 +128,13 @@ class TestSqrtMinusOne:
         for r in A.sqrts_minus_one(q):
             assert (r * r + 1) % q == 0
 
-    def test_product_form(self):
-        assert A.sqrt_minus_one_count_of_product(((10, 1), (5, 2))) == A.sqrt_minus_one_count(250)
-        assert A.sqrt_minus_one_count_of_product(((6, 1),)) == 0
+    def test_cell_moduli_match_brute_force(self):
+        # the moduli v2 y1^2 of the density weights: 4 | v2, even y1 and
+        # primes = 3 (mod 4) all occur
+        for v2 in range(1, 61):
+            for y1 in range(1, 26):
+                q = v2 * y1 * y1
+                assert A.sqrt_minus_one_count(q) == brute_eta(q), (v2, y1)
 
 
 class TestSawtooth:
@@ -553,6 +557,9 @@ class TestErrors:
         (lambda: S.count_degenerate(0), SizeCapError),
         (lambda: next(T.iter_torsor_points(T.TORSOR_CAP + 1)), SizeCapError),
         (lambda: Z.leading_factor_at_one((-1.0, 0.0)), DelPezzoError),
+        pytest.param(lambda: A.best_rational_approx(1, -5, 2), ValueError, id="q<0"),
+        pytest.param(lambda: A.best_rational_approx(1, 0, 2), ValueError, id="q=0"),
+        pytest.param(lambda: Z.leading_factor_at_one((0.0, 0.0)), DelPezzoError, id="H(0)=0"),
     ])
     def test_library_rejections(self, call, error):
         # each public function refuses input outside its domain itself

@@ -34,6 +34,7 @@ class TestCanonicalize:
     def test_examples(self):
         assert S.canonicalize((2, 2, 2, 2, 4)).x == (1, 1, 1, 1, 2)
         assert S.canonicalize((-1, -1, 1, 0, -1)).x == (1, 1, -1, 0, 1)
+        assert S.canonicalize((-2, -2, 2, 0, -2)).x == (1, 1, -1, 0, 1)
 
     def test_zero_rejected(self):
         with pytest.raises(InvalidPointError):

@@ -444,7 +444,10 @@ def main_term_coefficient(n: int) -> float:
 # polynomials (the integrand's unit-period mean structure), leaving O(1) work
 # per evaluation instead of O(C).  Below the crossover the direct path
 # evaluates the O(C) pieces between the kinks of many C at once, in groups of
-# bounded size (see _DINT_GROUP).
+# bounded size (see _DINT_GROUP).  The kinks are where C x crosses an
+# integer, so the integer part of A = C x is known on each piece and F is
+# exact there with no floor: F(M + 1), the one value that needs a zeta(2)
+# tail, is taken once per piece, not once per node.
 
 _ZETA2 = math.pi * math.pi / 6
 # Partial sums H2[M] = sum_{n <= M} 1/n^2 for M < _H2_N.  The direct path
@@ -453,7 +456,31 @@ _ZETA2 = math.pi * math.pi / 6
 _H2_N = 258
 _H2 = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, _H2_N) ** 2)))
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+
+def _gauss_legendre(nodes, weights):
+    """A symmetric Gauss-Legendre rule on [-1, 1], nodes ascending, from its
+    positive nodes ascending and their weights."""
+    x, w = np.array(nodes), np.array(weights)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
+# the 20- and 12-point rules, bit for bit those of
+# numpy.polynomial.legendre.leggauss, written out so that no command imports
+# numpy.polynomial
+_GL_X, _GL_W = _gauss_legendre(
+    (0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+     0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+     0.9639719272779138, 0.993128599185095),
+    (0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+     0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+     0.040601429800386446, 0.017614007139150893),
+)
+_GL12_X, _GL12_W = _gauss_legendre(
+    (0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047,
+     0.9041172563704748, 0.9815606342467192),
+    (0.2491470458134027, 0.2334925365383546, 0.20316742672306573, 0.16007832854334642,
+     0.10693932599531907, 0.04717533638651141),
+)
 
 
 def _zeta2_tail(M):
@@ -468,24 +495,18 @@ def _zeta2_tail(M):
     return out
 
 
-def _F_frac_tail(t):
-    """F(t) = int_t^inf frac(s) s^-3 ds, vectorized, t > 0."""
-    t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    lo = t < 1
-    F1 = 0.5 - 0.5 * (_ZETA2 - 1.0)
-    out[lo] = 1.0 / t[lo] - 1.0 + F1
-    th = t[~lo]
-    M = np.floor(th)
+def _F_on_piece(t, M):
+    """F(t) = int_t^inf frac(s) s^-3 ds for t in [M, M + 1], with M the integer
+    part of t as a float array broadcasting against t: frac(s) = s - M up to
+    M + 1, and F(M + 1) = 1/(2(M + 1)) - (1/2) sum_{n > M + 1} 1/n^2."""
     FM1 = 0.5 / (M + 1) - 0.5 * _zeta2_tail(M + 1)
-    out[~lo] = (1 / th - 1 / (M + 1)) - 0.5 * M * (1 / th**2 - 1 / (M + 1) ** 2) + FM1
-    return out
+    return (1 / t - 1 / (M + 1)) - 0.5 * M * (1 / t**2 - 1 / (M + 1) ** 2) + FM1
 
 
-def _I_inner(A):
-    """I(A) = int_0^1 frac(A / sqrt(v)) dv = 2 A^2 F(A), vectorized, A > 0."""
-    A = np.asarray(A, dtype=np.float64)
-    return 2 * A**2 * _F_frac_tail(A)
+def _F_frac_tail(t):
+    """F(t) = int_t^inf frac(s) s^-3 ds, vectorized, t > 0 (1/t^2 finite)."""
+    t = np.asarray(t, dtype=np.float64)
+    return _F_on_piece(t, np.floor(t))
 
 
 def _bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
@@ -536,13 +557,6 @@ def _T_tail(tau, bern):
     return -0.5 * u * u * u * s
 
 
-def _gl_sum(f, a, b):
-    """20-point Gauss-Legendre of a vectorized integrand over scalar [a, b]."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = mid + half * _GL_X
-    return half * float(np.dot(_GL_W, f(nodes)))
-
-
 # The direct path lays the pieces of many C out as one (pieces, 20) array of
 # quadrature nodes.  Whole C are packed into groups of at most _DINT_GROUP
 # pieces (a C with more pieces forms a group of its own); each group is one
@@ -573,7 +587,11 @@ def _dint_direct_group(C: np.ndarray) -> np.ndarray:
     arg[tail] = Cf[tail] * (1 - x[tail] * x[tail]) ** 0.25
     weight = 4 * x**3 / np.sqrt(1 - x**4)
     weight[tail] = 2.0
-    piece = half * (_I_inner(arg) * weight * _GL_W).sum(axis=1)
+    # the integer part of arg is known on each piece: j on head piece j
+    # (arg in (j, j + 1)), C - 1 on the tail piece (arg in (C - 1, C))
+    M = np.where(tail, Ck - 1, j).astype(np.float64)[:, None]
+    inner = 2 * arg**2 * _F_on_piece(arg, M)  # I(arg) = int_0^1 frac(arg / sqrt(v)) dv
+    piece = half * (inner * weight * _GL_W).sum(axis=1)
     return np.add.reduceat(piece, starts)
 
 
@@ -626,18 +644,23 @@ def _em_boundary_terms() -> dict:
 
 
 _EM_TERMS = _em_boundary_terms()
+_EM_Q = sorted({q for q, _ in _EM_TERMS})  # the 11 powers of tau among the 21 terms
+_EM_H = sorted({h for _, h in _EM_TERMS})  # the 5 powers of 1 - z and of C^-4
 
 
 def _em_eval_terms(tau, C):
-    """The merged boundary terms at tau (array or scalar), elementwise in C."""
+    """The merged boundary terms at tau (array or scalar), elementwise in C;
+    each distinct power is computed once and shared by its terms."""
     om = 1.0 - (tau / C) ** 4
+    tau_q = {q: tau**q for q in _EM_Q}
+    om_h = {h: om ** -(h + 0.5) for h in _EM_H}
+    C_h = {h: C ** (-4.0 * h) for h in _EM_H}
     total = np.zeros_like(C)
     for (q, h), cf in _EM_TERMS.items():
-        total += cf * tau**q * om ** -(h + 0.5) * C ** (-4.0 * h)
+        total += cf * tau_q[q] * om_h[h] * C_h[h]
     return total
 
 
-_GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
 _GL12_OFFSETS = 0.5 * (_GL12_X + 1.0)  # the nodes on [0, 1]
 _GL12_BERN = _bern_rows(_GL12_OFFSETS)
 
@@ -645,11 +668,14 @@ _Q_HEAD = None  # moments int_0^edge tau^(5+4k) T(tau) dtau, k = 0..3
 
 
 def _head_moments():
+    """The moments by 20-point Gauss-Legendre on each [n, n + 1], n < edge:
+    T once on all the nodes, then one dot product per interval and k."""
     global _Q_HEAD
     if _Q_HEAD is None:
+        nodes = (np.arange(_EM_EDGE) + 0.5)[:, None] + 0.5 * _GL_X  # row n: [n, n + 1]
+        T = _F_frac_tail(nodes) - 0.25 / nodes**2
         _Q_HEAD = np.array([
-            sum(_gl_sum(lambda t: t ** (5 + 4 * k) * (_F_frac_tail(t) - 0.25 / t**2), n, n + 1)
-                for n in range(_EM_EDGE))
+            sum(0.5 * float(np.dot(_GL_W, row)) for row in nodes ** (5 + 4 * k) * T)
             for k in range(4)
         ])
     return _Q_HEAD
@@ -828,6 +854,16 @@ def _mobius_dint_sums(ms, primes, keys, dints) -> np.ndarray:
     return sums
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, ascending: np.unique, which imports
+    numpy.ma, by a sort and an adjacent-difference mask."""
+    a = np.sort(a, axis=None)
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _dints(keys: list[int]) -> np.ndarray:
     """dint at every key, through the cache."""
     warm_dint_cache(keys)
@@ -868,7 +904,7 @@ def linear_term_constant(cutoff: int) -> tuple[float, float]:
     # a prime p | m divides v1, v2 or y1, and dividing that factor by p
     # leaves a term of the box, so the moduli are closed under m -> m/k0:
     # they are exactly the arguments of dint that the sum needs
-    keys = np.unique(np.concatenate([np.unique(moduli(b)) for b in blocks]))
+    keys = _distinct(np.concatenate([_distinct(moduli(b)) for b in blocks]))
     sums = _mobius_dint_sums(keys, primes, keys, _dints(keys.tolist()))
     total = 0.0
     for b in blocks:

@@ -33,7 +33,8 @@ class TorsorValidationError(DelPezzoError):
     """A 7-tuple failed the torsor membership conditions.
 
     ``failures`` lists the violated condition groups by name:
-    ``"equation"``, ``"squarefree"``, ``"coprimality"``, ``"positivity"``.
+    ``"equation"``, ``"squarefree"``, ``"coprimality"``, ``"positivity"``,
+    or ``"integrality"`` alone for a coordinate that is not an integer.
     """
 
     def __init__(self, failures):

@@ -16,6 +16,7 @@ the fast counter in :mod:`delpezzo.torsor` and share none of its machinery.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterator
@@ -49,8 +50,12 @@ class SurfacePoint:
 
 def canonicalize(x) -> SurfacePoint:
     """Projective normal form: divide by the gcd, then flip the global sign
-    so the first nonzero coordinate is positive."""
-    v = [int(c) for c in x]
+    so the first nonzero coordinate is positive; every coordinate must be an
+    integer (int or numpy integer)."""
+    try:
+        v = [operator.index(c) for c in x]
+    except TypeError:
+        raise InvalidPointError("coordinates must be integers") from None
     if all(c == 0 for c in v):
         raise InvalidPointError("the zero vector does not define a projective point")
     g = gcd(*v)

@@ -38,6 +38,7 @@ conditions by lookup in masks over rad(y2) and rad(v1 v2).
 from __future__ import annotations
 
 import math
+import operator
 import os
 import signal
 from bisect import bisect_right
@@ -74,8 +75,13 @@ class TorsorPoint:
 
 
 def validate(t) -> TorsorPoint:
-    """Check all membership conditions; failures are reported by name."""
-    v1, v2, y0, y1, y2, y3, y4 = (int(c) for c in t)
+    """Check all membership conditions; failures are reported by name.  A
+    coordinate that is not an integer (int or numpy integer) fails
+    "integrality" before any other condition is checked."""
+    try:
+        v1, v2, y0, y1, y2, y3, y4 = map(operator.index, t)
+    except TypeError:
+        raise TorsorValidationError(["integrality"]) from None
     failures = []
     if min(v1, v2, y0, y1, y2, y3, y4) < 1:
         failures.append("positivity")
@@ -123,7 +129,10 @@ def from_surface(p) -> TorsorPoint:
     v2 y1'^2 x4 = z0^4 y2'^2 + y3'^2, as p divides z1 and so not z0.
     """
     coords = p.x if hasattr(p, "x") else tuple(p)
-    x0, x1, x2, x3, x4 = (int(c) for c in coords)
+    try:
+        x0, x1, x2, x3, x4 = map(operator.index, coords)
+    except TypeError:
+        raise NotInDomainError("coordinates must be integers") from None
     if min(x0, x1, x2, x3, x4) < 1:
         raise NotInDomainError("all coordinates must be positive")
     if eval_forms((x0, x1, x2, x3, x4)) != (0, 0):

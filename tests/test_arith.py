@@ -244,6 +244,12 @@ class TestDensityWeights:
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 
 
+def inner(a):
+    """I(A) = int_0^1 frac(A / sqrt(v)) dv = 2 A^2 F(A), as the direct path forms it."""
+    a = np.asarray(a, dtype=np.float64)
+    return 2 * a**2 * A._F_frac_tail(a)
+
+
 def scalar_dint_direct(C):
     """dint(C) by the direct path one Gauss-Legendre piece at a time: the
     reference for the grouped pass."""
@@ -252,7 +258,7 @@ def scalar_dint_direct(C):
         return half * float(np.dot(_GL_W, f(mid + half * _GL_X)))
 
     def head(x):
-        return A._I_inner(C * x) * 4 * x**3 / np.sqrt(1 - x**4)
+        return inner(C * x) * 4 * x**3 / np.sqrt(1 - x**4)
 
     pieces = [(0.0, 0.6)] if C == 1 else [(j / C, (j + 1) / C) for j in range(C - 1)]
     xs = pieces[-1][1]
@@ -260,7 +266,7 @@ def scalar_dint_direct(C):
     for a, b in pieces:
         total += gl(head, a, b)
     w1 = math.sqrt(1 - xs**4)
-    return total + 2 * gl(lambda w: A._I_inner(C * (1 - w * w) ** 0.25), 0.0, w1)
+    return total + 2 * gl(lambda w: inner(C * (1 - w * w) ** 0.25), 0.0, w1)
 
 
 def oracle_frac_tail(a, mp):
@@ -293,7 +299,7 @@ class TestDoubleIntegral:
         v = (np.arange(2_000_000) + 0.5) / 2_000_000
         for a in (0.3, 1.7, 9.4):
             brute = float(np.mean(np.mod(a / np.sqrt(v), 1.0)))
-            assert abs(A._I_inner(np.array([a]))[0] - brute) < 5e-5
+            assert abs(inner(np.array([a]))[0] - brute) < 5e-5
 
     def test_inner_integral_against_mpmath(self):
         # the range the direct path evaluates: A = C x with C <= 256, x <= 1;
@@ -303,7 +309,7 @@ class TestDoubleIntegral:
         A_values += [k + d for k in range(250, 257) for d in (-2**-30, 0.0, 0.5)]
         A_values += np.linspace(0.0, 256.0, 1001)[1:].tolist()
         A_values += [257.0, 257.5, 258.0, 300.25, 1000.5, 4000.75, 8185.5, 8192.0]
-        got = A._I_inner(np.array(A_values))
+        got = inner(np.array(A_values))
         with mp.workdps(40):
             for a, v in zip(A_values, got):
                 assert abs(v - float(oracle_inner(a, mp))) < 1e-10, a
@@ -353,6 +359,35 @@ class TestDoubleIntegral:
             A._DINT_CACHE.pop(C, None)
         A.warm_dint_cache(Cs)
         assert [A._DINT_CACHE[C] for C in Cs] == A._dint_em_batch(np.array(Cs)).tolist()
+
+    def test_quadrature_tables_are_leggauss(self):
+        for (x, w), n in (((A._GL_X, A._GL_W), 20), ((A._GL12_X, A._GL12_W), 12)):
+            want_x, want_w = np.polynomial.legendre.leggauss(n)
+            assert x.tolist() == want_x.tolist() and w.tolist() == want_w.tolist(), n
+
+    def test_head_moments_bit_for_bit(self):
+        # one 20-point Gauss-Legendre sum per unit interval and k, each with
+        # its own evaluation of F, added from 0 in interval order
+        def gl(f, a, b):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            return half * float(np.dot(_GL_W, f(mid + half * _GL_X)))
+
+        want = [
+            sum(gl(lambda t: t ** (5 + 4 * k) * (A._F_frac_tail(t) - 0.25 / t**2), n, n + 1)
+                for n in range(A._EM_EDGE))
+            for k in range(4)
+        ]
+        assert A._head_moments().tolist() == want
+
+    def test_em_terms_bit_for_bit(self):
+        # every term takes its own powers, as in the sum the table stands for
+        Cs = np.array([257.0, 300.0, 1024.0, 4097.0, 99991.0, 1e6, 1e8])
+        for tau in (16.0, Cs - 16.0, np.full(len(Cs), 100.5)):
+            om = 1.0 - (tau / Cs) ** 4
+            want = np.zeros_like(Cs)
+            for (q, h), cf in A._EM_TERMS.items():
+                want += cf * tau**q * om ** -(h + 0.5) * Cs ** (-4.0 * h)
+            assert A._em_eval_terms(tau, Cs).tolist() == want.tolist()
 
     def test_analytic_value_at_one(self):
         c = math.gamma(1.25) * math.gamma(0.5) / (2 * math.gamma(1.75))

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from delpezzo import surface as S
@@ -43,6 +44,16 @@ class TestCanonicalize:
     def test_off_surface_rejected(self):
         with pytest.raises(NotInDomainError):
             S.canonicalize((1, 1, 1, 1, 1))
+
+    def test_non_integers_rejected(self):
+        # a fractional coordinate is not truncated, and an integral float or
+        # Fraction is not an integer either
+        for x in ((1.5, 1, 1, 1, 2), (1.0, 1, 1, 1, 2), (Fraction(1), 1, 1, 1, 2)):
+            with pytest.raises(InvalidPointError, match="integers"):
+                S.canonicalize(x)
+
+    def test_numpy_integers_accepted(self):
+        assert S.canonicalize(np.array([2, 2, 2, 2, 4])).x == (1, 1, 1, 1, 2)
 
 
 class TestHeightClassify:

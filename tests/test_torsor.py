@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
@@ -40,6 +41,14 @@ class TestValidate:
             T.validate((1, 1, 0, 1, 1, 1, 1))
         assert exc.value.failures == ["positivity"]
 
+    def test_integrality(self):
+        # a fractional coordinate is not truncated to a valid point
+        for t in ((1.9, 1, 1, 1, 1, 1, 2), (1, 1, 1, 1, 1, 1, 2.0), (1, 1, 1, 1, 1, Fraction(1), 2)):
+            with pytest.raises(TorsorValidationError) as exc:
+                T.validate(t)
+            assert exc.value.failures == ["integrality"], t
+        assert T.validate(np.array([1, 1, 1, 1, 1, 1, 2])).as_tuple() == (1, 1, 1, 1, 1, 1, 2)
+
 
 class TestMaps:
     def test_forward_examples(self):
@@ -59,6 +68,12 @@ class TestMaps:
             T.from_surface((2, 2, 2, 2, 4))  # not primitive
         with pytest.raises(NotInDomainError):
             T.from_surface((-1, 1, 1, 1, 2))  # not positive
+        for x in ((1.0, 1, 1, 0.5, 2), (Fraction(1), 1, 1, 1, 2)):
+            with pytest.raises(NotInDomainError, match="integers"):
+                T.from_surface(x)
+
+    def test_inverse_accepts_numpy_integers(self):
+        assert T.from_surface(np.array([2, 8, 4, 2, 1])).as_tuple() == (1, 2, 1, 1, 1, 1, 1)
 
     def test_round_trip_torsor_side(self):
         for t in T.iter_torsor_points(300):

@@ -441,13 +441,13 @@ def main_term_coefficient(n: int) -> float:
 # piecewise-rational between consecutive integers, so only the u-direction is
 # quadrature.  For large C the oscillatory middle range is reduced to
 # endpoint terms by repeated integration by parts against periodic Bernoulli
-# polynomials (the integrand's unit-period mean structure), leaving O(1) work
-# per evaluation instead of O(C).  Below the crossover the direct path
-# evaluates the O(C) pieces between the kinks of many C at once, in groups of
-# bounded size (see _DINT_GROUP).  The kinks are where C x crosses an
-# integer, so the integer part of A = C x is known on each piece and F is
-# exact there with no floor: F(M + 1), the one value that needs a zeta(2)
-# tail, is taken once per piece, not once per node.
+# polynomials, and the band next to C is a polynomial in 1/C, exact to 5e-33
+# (see _dint_em_batch): O(1) work per C, not O(C).  Below the crossover the
+# direct path evaluates the O(C) pieces between the kinks of many C at once,
+# in groups of bounded size (see _DINT_GROUP).  The kinks are where C x
+# crosses an integer, so the integer part of A = C x is known on each piece
+# and F is exact there with no floor: F(M + 1), the one value that needs a
+# zeta(2) tail, is taken once per piece, not once per node.
 
 _ZETA2 = math.pi * math.pi / 6
 # Partial sums H2[M] = sum_{n <= M} 1/n^2 for M < _H2_N.  The direct path
@@ -464,9 +464,8 @@ def _gauss_legendre(nodes, weights):
     return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
-# the 20- and 12-point rules, bit for bit those of
-# numpy.polynomial.legendre.leggauss, written out so that no command imports
-# numpy.polynomial
+# the 20-point rule, bit for bit that of numpy.polynomial.legendre.leggauss,
+# written out so that no command imports numpy.polynomial
 _GL_X, _GL_W = _gauss_legendre(
     (0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
      0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
@@ -474,12 +473,6 @@ _GL_X, _GL_W = _gauss_legendre(
     (0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
      0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
      0.040601429800386446, 0.017614007139150893),
-)
-_GL12_X, _GL12_W = _gauss_legendre(
-    (0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047,
-     0.9041172563704748, 0.9815606342467192),
-    (0.2491470458134027, 0.2334925365383546, 0.20316742672306573, 0.16007832854334642,
-     0.10693932599531907, 0.04717533638651141),
 )
 
 
@@ -521,40 +514,6 @@ def _bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
 BERNOULLI = _bernoulli_numbers(20)
 
 _T_SERIES_J = 8
-
-# B_k(x) = sum_j C(k, j) B_(k-j) x^j, coefficients by ascending power of x
-_BERN_POLY = {
-    k: tuple(float(math.comb(k, j) * BERNOULLI[k - j]) for j in range(k + 1))
-    for k in range(2, _T_SERIES_J + 1)
-}
-
-
-def _bern_rows(fr):
-    """B_j(fr) for j = 2 .. _T_SERIES_J on a new first axis, by Horner in fr."""
-    out = np.empty((_T_SERIES_J - 1, *fr.shape))
-    for k, row in enumerate(out, 2):
-        coeffs = _BERN_POLY[k]
-        row[...] = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            row *= fr
-            row += c
-    return out
-
-
-def _T_tail(tau, bern):
-    """T(tau) = F(tau) - 1/(4 tau^2) by its asymptotic series; needs tau >= 16.
-
-    -(u^3 / 2) sum_j B_j(frac(tau)) u^(j-2) by Horner in u = 1/tau, with
-    ``bern`` the rows B_j(frac(tau)), broadcasting against tau.  Truncation
-    error is below tau^-9 / 60 (~3e-16 at tau = 32).
-    """
-    u = 1 / tau
-    s = bern[-1] * u
-    for b in bern[-2:0:-1]:
-        s += b
-        s *= u
-    s += bern[0]
-    return -0.5 * u * u * u * s
 
 
 # The direct path lays the pieces of many C out as one (pieces, 20) array of
@@ -661,9 +620,6 @@ def _em_eval_terms(tau, C):
     return total
 
 
-_GL12_OFFSETS = 0.5 * (_GL12_X + 1.0)  # the nodes on [0, 1]
-_GL12_BERN = _bern_rows(_GL12_OFFSETS)
-
 _Q_HEAD = None  # moments int_0^edge tau^(5+4k) T(tau) dtau, k = 0..3
 
 
@@ -681,6 +637,42 @@ def _head_moments():
     return _Q_HEAD
 
 
+_TAIL_N = 19  # n = 0..18 in h_(j,n)
+_C_TAIL = None  # c_2 .. c_26 of the tail band
+
+
+def _tail_coefficients():
+    """c_N of the tail band (see _dint_em_batch), built on first use: f_n of
+    q^(-1/2) from q f' = -(1/2) q' f, h_(j,n) by partial sums from j = 2,
+    M_(j,n) in closed form on [0, 1], by the 20-point rule on [i, i + 1].
+    Within 1e-12 relative of mpmath."""
+    global _C_TAIL
+    if _C_TAIL is None:
+        J, N = _T_SERIES_J, _TAIL_N
+        q = (1.0, -1.5, 1.0, -0.25)
+        f = [1.0]
+        for n in range(1, N):
+            f.append(sum((-0.5 * k - n + k) * q[k] * f[n - k] for k in range(1, min(3, n) + 1)) / n)
+        h = [np.convolve(f, (1.0, -2.0, 1.0))[:N]]  # h_(j+1) = h_j / (1 - s)
+        for _ in range(J - 2):
+            h.append(np.cumsum(h[-1]))
+        k, n = np.arange(J + 1), np.arange(N)
+        bern = np.array([[math.comb(j, i) * float(BERNOULLI[j - i]) if i <= j else 0.0
+                          for i in k] for j in range(2, J + 1)])
+        # frac(sigma)^k moments, less (i + 1/2)^(n-1/2) / (k + 1) on [i, i + 1]
+        # (B_j cancels it, but the rule sums B_j to 0 only within 4e-16);
+        # einsum, as BLAS matmul would touch 0.3 MB of buffers
+        x = 0.5 * (_GL_X + 1.0)
+        i = np.arange(1, _EM_EDGE)[:, None, None]
+        g = ((i + x[:, None]) ** (n - 0.5) - (i + 0.5) ** (n - 0.5)).sum(axis=0)
+        S = 1 / (k[:, None] + n + 0.5) + np.einsum("kx,xn", x ** k[:, None] * (0.5 * _GL_W), g)
+        M = np.einsum("jk,kn", bern, S)
+        _C_TAIL = np.zeros(J + N - 2)
+        for r, row in enumerate(M * np.array(h)):
+            _C_TAIL[r:r + N] += (-1) ** r * row
+    return _C_TAIL
+
+
 def _dint_em_batch(Cs: np.ndarray) -> np.ndarray:
     """Endpoint-expansion evaluation for an array of large C; O(1) pieces each.
 
@@ -688,9 +680,13 @@ def _dint_em_batch(Cs: np.ndarray) -> np.ndarray:
     Head [0, edge]: (1-z)^(-1/2) expanded in z, leaving C-independent moments.
     Middle [edge, C-edge]: repeated integration by parts against periodic
     Bernoulli polynomials; only boundary terms survive at machine level
-    (_EM_TERMS).  Tail band [C-edge, C]: unit-interval quadrature, B_j(frac)
-    from the table at the nodes' fixed offsets; the last interval is
-    regularized and computes its fractional parts.
+    (_EM_TERMS).  Tail band [C-edge, C]: with sigma = C - tau, s = sigma/C,
+    B_j(frac(tau)) = (-1)^j B_j(frac(sigma)) and 1 - (1-s)^4 = 4 s q(s),
+    q = 1 - 3s/2 + s^2 - s^3/4, so (8/C^4) band = -2 sqrt(C) sum_N c_N C^-N,
+    c_N = sum_(j+n=N) (-1)^j h_(j,n) M_(j,n), h_(j,n) the Taylor coefficients
+    of (1-s)^(4-j) q(s)^(-1/2), M_(j,n) = int_0^edge B_j(frac(sigma))
+    sigma^(n-1/2) dsigma.  As s <= 16/257, the terms n > 18 add less than
+    5e-33 to dint.
     """
     C = Cs.astype(np.float64)
     a = float(_EM_EDGE)
@@ -698,20 +694,14 @@ def _dint_em_batch(Cs: np.ndarray) -> np.ndarray:
     Q = _head_moments()
     head = Q[0] + 0.5 * Q[1] / C**4 + 0.375 * Q[2] / C**8 + 0.3125 * Q[3] / C**12
 
-    # tail band: sigma = C - tau in [1, edge] by unit intervals
-    tail = np.zeros_like(C)
-    for k in range(1, _EM_EDGE):
-        nodes = (C - k - 1)[:, None] + _GL12_OFFSETS
-        n2, r2 = nodes * nodes, (nodes / C[:, None]) ** 2
-        vals = n2 * n2 * nodes / np.sqrt(1 - r2 * r2) * _T_tail(nodes, _GL12_BERN)
-        tail += 0.5 * (vals @ _GL12_W)
-    # last interval [C-1, C]: 1 - z = w^2 gives (C^6/2) sqrt(1-w^2) dw
-    w1 = np.sqrt(-np.expm1(4 * np.log1p(-1.0 / C)))
-    half = 0.5 * w1
-    wn = w1[:, None] * _GL12_OFFSETS
-    taun = C[:, None] * (1 - wn * wn) ** 0.25
-    vals = np.sqrt(1 - wn * wn) * _T_tail(taun, _bern_rows(taun - np.floor(taun)))
-    tail += (C**6 / 2) * half * (vals @ _GL12_W)
+    # tail band: Horner in 1/C
+    c = _tail_coefficients()
+    x = 1 / C
+    band = np.full_like(C, c[-1])
+    for cN in c[-2::-1]:
+        band *= x
+        band += cN
+    tail = -0.25 * C**2.5 * band
 
     # middle: boundary terms at tau = edge and tau = C - edge
     mid = _em_eval_terms(C - a, C) - _em_eval_terms(a, C)

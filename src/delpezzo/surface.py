@@ -32,8 +32,12 @@ DEGENERATE_CAP = 10**9
 
 
 def eval_forms(x) -> tuple[int, int]:
-    """Exact values (Q1(x), Q2(x)) of the two defining quadrics."""
-    x0, x1, x2, x3, x4 = (int(v) for v in x)
+    """Exact values (Q1(x), Q2(x)) of the two defining quadrics; every
+    coordinate must be an integer (int or numpy integer)."""
+    try:
+        x0, x1, x2, x3, x4 = map(operator.index, x)
+    except TypeError:
+        raise InvalidPointError("coordinates must be integers") from None
     return x0 * x1 - x2 * x2, x0 * x0 - x1 * x4 + x3 * x3
 
 

@@ -292,6 +292,154 @@ def assert_T_tail(tau, got, mp):
     assert abs(got - exact) <= t**-9 / 60 + 1e-13 / t**3, tau
 
 
+# The endpoint expansion's tail band by quadrature, as arith integrated it
+# before the band became one polynomial in 1/C: 12-point Gauss-Legendre on
+# each unit interval of sigma = C - tau in [1, edge], with B_j(frac(tau))
+# from a table at the nodes' fixed offsets, and the last interval [C-1, C]
+# regularized by 1 - (tau/C)^4 = w^2.  The oracle of _tail_coefficients.
+_GL12_X, _GL12_W = A._gauss_legendre(
+    (0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047,
+     0.9041172563704748, 0.9815606342467192),
+    (0.2491470458134027, 0.2334925365383546, 0.20316742672306573, 0.16007832854334642,
+     0.10693932599531907, 0.04717533638651141),
+)
+
+# B_k(x) = sum_j C(k, j) B_(k-j) x^j, coefficients by ascending power of x
+_BERN_POLY = {
+    k: tuple(float(math.comb(k, j) * A.BERNOULLI[k - j]) for j in range(k + 1))
+    for k in range(2, A._T_SERIES_J + 1)
+}
+
+
+def _bern_rows(fr):
+    """B_j(fr) for j = 2 .. _T_SERIES_J on a new first axis, by Horner in fr."""
+    out = np.empty((A._T_SERIES_J - 1, *fr.shape))
+    for k, row in enumerate(out, 2):
+        coeffs = _BERN_POLY[k]
+        row[...] = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            row *= fr
+            row += c
+    return out
+
+
+def _T_tail(tau, bern):
+    """T(tau) = F(tau) - 1/(4 tau^2) by its asymptotic series; needs tau >= 16.
+
+    -(u^3 / 2) sum_j B_j(frac(tau)) u^(j-2) by Horner in u = 1/tau, with
+    ``bern`` the rows B_j(frac(tau)), broadcasting against tau.  Truncation
+    error is below tau^-9 / 60 (~3e-16 at tau = 32).
+    """
+    u = 1 / tau
+    s = bern[-1] * u
+    for b in bern[-2:0:-1]:
+        s += b
+        s *= u
+    s += bern[0]
+    return -0.5 * u * u * u * s
+
+
+_GL12_OFFSETS = 0.5 * (_GL12_X + 1.0)  # the nodes on [0, 1]
+_GL12_BERN = _bern_rows(_GL12_OFFSETS)
+
+
+def quadrature_tail_band(C):
+    """int_(C-edge)^C tau^5 (1-(tau/C)^4)^(-1/2) T(tau) dtau for a float array C."""
+    tail = np.zeros_like(C)
+    for k in range(1, A._EM_EDGE):
+        nodes = (C - k - 1)[:, None] + _GL12_OFFSETS
+        n2, r2 = nodes * nodes, (nodes / C[:, None]) ** 2
+        vals = n2 * n2 * nodes / np.sqrt(1 - r2 * r2) * _T_tail(nodes, _GL12_BERN)
+        tail += 0.5 * (vals @ _GL12_W)
+    # last interval [C-1, C]: 1 - z = w^2 gives (C^6/2) sqrt(1-w^2) dw
+    w1 = np.sqrt(-np.expm1(4 * np.log1p(-1.0 / C)))
+    half = 0.5 * w1
+    wn = w1[:, None] * _GL12_OFFSETS
+    taun = C[:, None] * (1 - wn * wn) ** 0.25
+    vals = np.sqrt(1 - wn * wn) * _T_tail(taun, _bern_rows(taun - np.floor(taun)))
+    return tail + (C**6 / 2) * half * (vals @ _GL12_W)
+
+
+def quadrature_dint_em(Cs):
+    """_dint_em_batch with the tail band by quadrature."""
+    C = np.asarray(Cs, dtype=np.float64)
+    Q = A._head_moments()
+    head = Q[0] + 0.5 * Q[1] / C**4 + 0.375 * Q[2] / C**8 + 0.3125 * Q[3] / C**12
+    mid = A._em_eval_terms(C - A._EM_EDGE, C) - A._em_eval_terms(float(A._EM_EDGE), C)
+    return 1.0 + (8 / C**4) * (head + mid + quadrature_tail_band(C))
+
+
+def oracle_tail_coefficients(mp):
+    """The c_N of the tail band in mpmath at 50 digits: h_(j,n) by mp.taylor,
+    M_(j,n) from int_i^(i+1) (sigma - i)^k sigma^(n-1/2) dsigma in closed form."""
+    J, N, edge = A._T_SERIES_J, A._TAIL_N, A._EM_EDGE
+    with mp.workdps(50):
+        half = mp.mpf(1) / 2
+        root = [[mp.mpf(i) ** (m + half) for m in range(J + N + 1)] for i in range(edge + 1)]
+
+        def rest(k, n):  # sum_(1 <= i < edge) int_0^1 x^k (i + x)^(n - 1/2) dx
+            return mp.fsum(mp.binomial(k, l) * (-i) ** (k - l)
+                           * (root[i + 1][n + l] - root[i][n + l]) / (n + l + half)
+                           for i in range(1, edge) for l in range(k + 1))
+
+        S = [[1 / (k + n + half) + rest(k, n) for n in range(N)] for k in range(J + 1)]
+        q = lambda s: 1 - 1.5 * s + s * s - s**3 / 4
+        c = [mp.mpf(0)] * (J + N - 2)
+        for j in range(2, J + 1):
+            h = mp.taylor(lambda s: (1 - s) ** (4 - j) * q(s) ** -half, 0, N - 1)
+            bern = [mp.binomial(j, k) * mp.bernoulli(j - k) for k in range(j + 1)]
+            for n in range(N):
+                c[j + n - 2] += (-1) ** j * h[n] * mp.fsum(b * S[k][n] for k, b in enumerate(bern))
+        return c
+
+
+def oracle_quad(mp, f, a, b):
+    """int_a^b f by mpmath's Gauss-Legendre at up to 24 nodes.  Each f given
+    is analytic on a neighbourhood of [a, b] whose nearest singularity lies at
+    least b - a beyond an end, so 24 nodes converge to about 1e-36 relative."""
+    return mp.quad(f, [a, b], method="gauss-legendre", maxdegree=4)
+
+
+def oracle_tail_band(C, mp):
+    """(8/C^4) int_(C-edge)^C tau^5 (1-(tau/C)^4)^(-1/2) T(tau) dtau in mpmath
+    at 30 digits, T from the same truncated series.  Unit intervals in tau up
+    to C - 1, then [C-1, C] in w = sqrt(1-(tau/C)^4), where the integrand is
+    smooth (a node rounded onto tau = C would divide by zero in tau)."""
+    def T(tau):
+        fr = tau - mp.floor(tau)
+        js = range(2, A._T_SERIES_J + 1)
+        return -mp.fsum(mp.bernpoly(j, fr) * tau ** -(j + 1) for j in js) / 2
+
+    with mp.workdps(30):
+        C = mp.mpf(C)
+        f = lambda t: t**5 / mp.sqrt(1 - (t / C) ** 4) * T(t)
+        parts = [oracle_quad(mp, f, C - k - 1, C - k) for k in range(1, A._EM_EDGE)]
+        w1 = mp.sqrt(1 - (1 - 1 / C) ** 4)
+        last = oracle_quad(mp, lambda w: mp.sqrt(1 - w * w) * T(C * (1 - w * w) ** 0.25), 0, w1)
+        parts.append(C**6 / 2 * last)
+        return 8 / C**4 * mp.fsum(parts)
+
+
+def oracle_dint(C, mp):
+    """dint(C) = int_0^1 I(C x) 4 x^3 (1-x^4)^(-1/2) dx in mpmath at 20 digits:
+    one piece per integer part M of C x, I(A) = 2 A^2 F(A) with F's
+    zeta(2, M + 2) taken once per piece, and the last piece [(C-1)/C, 1] in
+    w = sqrt(1 - x^4), where it is 2 I(C x) dw."""
+    with mp.workdps(20):
+        parts = []
+        for M in range(C):
+            M1 = mp.mpf(M + 1)
+            FM1 = 1 / (2 * M1) - mp.zeta(2, M + 2) / 2
+            I = lambda a: 2 * a * a * ((1 / a - 1 / M1) - M / 2 * (1 / a**2 - 1 / M1**2) + FM1)
+            if M < C - 1:
+                f = lambda x: I(C * x) * 4 * x**3 / mp.sqrt(1 - x**4)
+                parts.append(oracle_quad(mp, f, mp.mpf(M) / C, M1 / C))
+            else:
+                w1 = mp.sqrt(1 - (mp.mpf(C - 1) / C) ** 4)
+                parts.append(oracle_quad(mp, lambda w: 2 * I(C * (1 - w * w) ** 0.25), 0, w1))
+        return mp.fsum(parts)
+
+
 class TestDoubleIntegral:
     def test_inner_integral_against_brute(self):
         # the Riemann oracle is the weak side here: the integrand's jumps
@@ -315,25 +463,25 @@ class TestDoubleIntegral:
                 assert abs(v - float(oracle_inner(a, mp))) < 1e-10, a
 
     def test_T_tail_at_computed_fractions(self):
-        # the last interval of the endpoint expansion: float nodes, B_j at
+        # the last interval of the quadrature tail band: float nodes, B_j at
         # their computed fractional parts
         mp = pytest.importorskip("mpmath")
         taus = np.concatenate((np.geomspace(16.0, 1e6, 301), [16.25, 31.999, 257.5, 999999.75]))
-        got = A._T_tail(taus, A._bern_rows(taus - np.floor(taus)))
+        got = _T_tail(taus, _bern_rows(taus - np.floor(taus)))
         with mp.workdps(50):
             for tau, v in zip(taus.tolist(), got.tolist()):
                 assert_T_tail(tau, v, mp)
 
     def test_T_tail_from_the_table(self):
-        # the tail band: integer plus a fixed Gauss-Legendre offset, B_j from
-        # the table at the offsets, so the oracle takes the exact node
-        # n + offset (the float node can be 1e-10 off near 10^6)
+        # the quadrature tail band: integer plus a fixed Gauss-Legendre
+        # offset, B_j from the table at the offsets, so the oracle takes the
+        # exact node n + offset (the float node can be 1e-10 off near 10^6)
         mp = pytest.importorskip("mpmath")
         ns = [16, 17, 100, 240, 255, 256, 1000, 4095, 65536, 999983, 999999]
-        got = A._T_tail(np.array(ns, dtype=np.float64)[:, None] + A._GL12_OFFSETS, A._GL12_BERN)
+        got = _T_tail(np.array(ns, dtype=np.float64)[:, None] + _GL12_OFFSETS, _GL12_BERN)
         with mp.workdps(50):
             for n, row in zip(ns, got.tolist()):
-                for offset, v in zip(A._GL12_OFFSETS.tolist(), row):
+                for offset, v in zip(_GL12_OFFSETS.tolist(), row):
                     assert_T_tail(n + mp.mpf(offset), v, mp)
 
     def test_grouped_direct_matches_scalar(self):
@@ -360,8 +508,52 @@ class TestDoubleIntegral:
         A.warm_dint_cache(Cs)
         assert [A._DINT_CACHE[C] for C in Cs] == A._dint_em_batch(np.array(Cs)).tolist()
 
+    def test_tail_band_matches_the_quadrature(self):
+        # every C > 256 of the cutoff-100 beta box and a spread up to 8e6,
+        # the largest modulus of the cutoff-200 box, against the band
+        # integrated by quadrature
+        box = [C for C in box_moduli(100) if C > A._DINT_CROSSOVER]
+        spread = np.unique(np.geomspace(A._DINT_CROSSOVER + 1, 8e6, 2000).astype(np.int64))
+        for Cs in (np.array(box), spread):
+            got = np.concatenate([A._dint_em_batch(Cs[i:i + A._DINT_GROUP])
+                                  for i in range(0, len(Cs), A._DINT_GROUP)])
+            err = np.abs(got - quadrature_dint_em(Cs))
+            assert err.max() <= 4e-16, Cs[err.argmax()]
+
+    def test_tail_coefficients_against_mpmath(self):
+        # each c_N enters dint as -2 sqrt(C) c_N C^-N: its error moves dint
+        # by less than 1e-19 at the smallest C, and is below 1e-12 relative
+        mp = pytest.importorskip("mpmath")
+        got = A._tail_coefficients()
+        want = oracle_tail_coefficients(mp)
+        assert len(got) == len(want) == A._T_SERIES_J + A._TAIL_N - 2
+        C0 = A._DINT_CROSSOVER + 1
+        for N, (g, w) in enumerate(zip(got.tolist(), want), 2):
+            err = abs(g - w)
+            assert 2 * math.sqrt(C0) * err * float(C0) ** -N <= 1e-19, N
+            assert err <= 1e-12 * abs(w), N
+
+    @pytest.mark.parametrize("C", [257, 1000, 65537, 10**6])
+    def test_tail_band_against_mpmath(self, C):
+        # the band's share of dint, -2 sqrt(C) sum_N c_N C^-N, summed here
+        # term by term
+        mp = pytest.importorskip("mpmath")
+        c = A._tail_coefficients()
+        got = -2 * math.sqrt(C) * sum(cN * float(C) ** -N for N, cN in enumerate(c.tolist(), 2))
+        want = oracle_tail_band(C, mp)
+        assert abs(got - float(want)) <= 1e-14 * abs(want), (got, want)
+
+    @pytest.mark.parametrize("C, tol", [(256, 1e-10), (257, 2e-14)])
+    def test_dint_against_mpmath_across_the_crossover(self, C, tol):
+        # the last C of the direct path and the first of the endpoint
+        # expansion; the direct path carries about 3e-11 here, from
+        # zeta(2) - H2[M] at M near 256 (see _zeta2_tail)
+        mp = pytest.importorskip("mpmath")
+        want = oracle_dint(C, mp)
+        assert abs(A.fractional_part_double_integral(C) - float(want)) <= tol
+
     def test_quadrature_tables_are_leggauss(self):
-        for (x, w), n in (((A._GL_X, A._GL_W), 20), ((A._GL12_X, A._GL12_W), 12)):
+        for (x, w), n in (((A._GL_X, A._GL_W), 20), ((_GL12_X, _GL12_W), 12)):
             want_x, want_w = np.polynomial.legendre.leggauss(n)
             assert x.tolist() == want_x.tolist() and w.tolist() == want_w.tolist(), n
 
@@ -410,7 +602,7 @@ class TestDoubleIntegral:
         assert B[12] == Fraction(-691, 2730) and B[20] == Fraction(-174611, 330)
         assert all(b == 0 for b in B[3::2])
         # B_k(x + 1) - B_k(x) = k x^(k-1), checked at x = 1/3 on the tables' floats
-        for k, coeffs in A._BERN_POLY.items():
+        for k, coeffs in _BERN_POLY.items():
             diff = np.polyval(coeffs[::-1], 4 / 3) - np.polyval(coeffs[::-1], 1 / 3)
             assert abs(diff - k * (1 / 3) ** (k - 1)) < 1e-13, k
 
@@ -472,6 +664,7 @@ class TestSecondaryDensity:
         (20, -0.2885320098259146),
         (40, -0.28861933526529954),
         (100, -0.28871324218933553),
+        (200, -0.2887476295335286),
     ])
     def test_constant_pinned(self, cutoff, beta):
         assert abs(A.linear_term_constant(cutoff)[0] - beta) <= 1e-12 * abs(beta)

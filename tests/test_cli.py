@@ -431,6 +431,28 @@ class TestLazyImports:
             extra = self.loaded([*argv, "--no-timestamp"]) & {"numpy.ma", "numpy.polynomial"}
             assert not extra, (argv, extra)
 
+    @pytest.mark.parametrize("argv, built", [
+        pytest.param(["count", "--bmax", "10000", "--threads", "2"], False, id="count"),
+        pytest.param(["constants", "--prime-cutoff", "1000", "--beta-cutoff", "10"], True,
+                     id="constants"),
+    ])
+    def test_tail_coefficients_built_on_first_use(self, argv, built):
+        # count imports arith but never evaluates dint, so it must not pay for
+        # the endpoint expansion's tail coefficients; constants (moduli up to
+        # 1000, past the crossover) builds them
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from delpezzo import arith, cli\n"
+            "assert arith._C_TAIL is None\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code, arith._C_TAIL is not None]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, json.dumps([*argv, "--no-timestamp"])],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, built]
+
     def test_reexported_names(self):
         import delpezzo
         from delpezzo import torsor

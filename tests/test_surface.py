@@ -30,6 +30,20 @@ class TestForms:
         q1, q2 = S.eval_forms(x)
         assert q1 == 0 and q2 == 10**18
 
+    def test_non_integers_rejected(self):
+        # a fractional coordinate is not truncated onto the surface, and an
+        # integral float is not an integer either
+        for x in ((1.5, 1, 1, 1, 2), (1.0, 1, 1, 1, 2), (Fraction(1), 1, 1, 1, 2)):
+            with pytest.raises(InvalidPointError, match="integers"):
+                S.SurfacePoint(x)
+            with pytest.raises(InvalidPointError, match="integers"):
+                S.eval_forms(x)
+
+    def test_numpy_integers_accepted(self):
+        x = tuple(np.array([1, 1, 1, 1, 2], dtype=np.int64))
+        assert S.eval_forms(x) == (0, 0)
+        assert S.SurfacePoint(x).x == (1, 1, 1, 1, 2)
+
 
 class TestCanonicalize:
     def test_examples(self):

@@ -10,9 +10,8 @@ exact-rational local densities that weight the fast point counter.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -23,26 +22,22 @@ from .errors import DelPezzoError, SizeCapError
 # sieve and factorization
 
 _SPF_LIMIT = 1 << 16
-_SPF = None
-_SPF_PRIMES = None  # the primes below _SPF_LIMIT, read off the SPF table
-# below this bound every prime <= isqrt(n) is in _SPF_PRIMES, so factorize
+# below this bound every prime <= isqrt(n) is below _SPF_LIMIT, so factorize
 # finds all of them with one vectorized remainder
 _TRIAL_LIMIT = _SPF_LIMIT * _SPF_LIMIT
 
 
-def _spf_table() -> np.ndarray:
-    """Smallest-prime-factor table below ``_SPF_LIMIT``, built on first use;
-    ``_SPF_PRIMES`` is built with it."""
-    global _SPF, _SPF_PRIMES
-    if _SPF is None:
-        primes = primes_up_to(_SPF_LIMIT - 1)
-        spf = np.arange(_SPF_LIMIT, dtype=np.int64)  # primes (and 0, 1) map to themselves
-        # every composite n has a prime p <= sqrt(n) in the slice from p*p;
-        # descending order lets the smallest such p write last
-        for p in primes[primes * primes < _SPF_LIMIT][::-1].tolist():
-            spf[p * p::p] = p
-        _SPF, _SPF_PRIMES = spf, primes
-    return _SPF
+@cache
+def _spf_table() -> tuple[np.ndarray, np.ndarray]:
+    """Smallest-prime-factor table below ``_SPF_LIMIT`` and the primes below
+    it, built on first use."""
+    primes = primes_up_to(_SPF_LIMIT - 1)
+    spf = np.arange(_SPF_LIMIT, dtype=np.int64)  # primes (and 0, 1) map to themselves
+    # every composite n has a prime p <= sqrt(n) in the slice from p*p;
+    # descending order lets the smallest such p write last
+    for p in primes[primes * primes < _SPF_LIMIT][::-1].tolist():
+        spf[p * p::p] = p
+    return spf, primes
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -73,7 +68,7 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("factorize requires n >= 1")
     out: dict[int, int] = {}
     if n < _SPF_LIMIT:
-        spf = _spf_table()
+        spf, _ = _spf_table()
         while n > 1:
             p = int(spf[n])
             e = 0
@@ -85,8 +80,8 @@ def factorize(n: int) -> dict[int, int]:
     if n < _TRIAL_LIMIT:
         # one remainder over the sieve's primes <= isqrt(n); what is left
         # after dividing them out has no factor <= sqrt(n), so it is 1 or prime
-        _spf_table()
-        ps = _SPF_PRIMES[: np.searchsorted(_SPF_PRIMES, isqrt(n), "right")]
+        _, primes = _spf_table()
+        ps = primes[: np.searchsorted(primes, isqrt(n), "right")]
         for p in ps[n % ps == 0].tolist():
             e = 0
             while n % p == 0:
@@ -620,57 +615,51 @@ def _em_eval_terms(tau, C):
     return total
 
 
-_Q_HEAD = None  # moments int_0^edge tau^(5+4k) T(tau) dtau, k = 0..3
-
-
+@cache
 def _head_moments():
-    """The moments by 20-point Gauss-Legendre on each [n, n + 1], n < edge:
-    T once on all the nodes, then one dot product per interval and k."""
-    global _Q_HEAD
-    if _Q_HEAD is None:
-        nodes = (np.arange(_EM_EDGE) + 0.5)[:, None] + 0.5 * _GL_X  # row n: [n, n + 1]
-        T = _F_frac_tail(nodes) - 0.25 / nodes**2
-        _Q_HEAD = np.array([
-            sum(0.5 * float(np.dot(_GL_W, row)) for row in nodes ** (5 + 4 * k) * T)
-            for k in range(4)
-        ])
-    return _Q_HEAD
+    """The moments int_0^edge tau^(5+4k) T(tau) dtau, k = 0..3, built on
+    first use by 20-point Gauss-Legendre on each [n, n + 1], n < edge: T once
+    on all the nodes, then one dot product per interval and k."""
+    nodes = (np.arange(_EM_EDGE) + 0.5)[:, None] + 0.5 * _GL_X  # row n: [n, n + 1]
+    T = _F_frac_tail(nodes) - 0.25 / nodes**2
+    return np.array([
+        sum(0.5 * float(np.dot(_GL_W, row)) for row in nodes ** (5 + 4 * k) * T)
+        for k in range(4)
+    ])
 
 
 _TAIL_N = 19  # n = 0..18 in h_(j,n)
-_C_TAIL = None  # c_2 .. c_26 of the tail band
 
 
+@cache
 def _tail_coefficients():
-    """c_N of the tail band (see _dint_em_batch), built on first use: f_n of
-    q^(-1/2) from q f' = -(1/2) q' f, h_(j,n) by partial sums from j = 2,
-    M_(j,n) in closed form on [0, 1], by the 20-point rule on [i, i + 1].
-    Within 1e-12 relative of mpmath."""
-    global _C_TAIL
-    if _C_TAIL is None:
-        J, N = _T_SERIES_J, _TAIL_N
-        q = (1.0, -1.5, 1.0, -0.25)
-        f = [1.0]
-        for n in range(1, N):
-            f.append(sum((-0.5 * k - n + k) * q[k] * f[n - k] for k in range(1, min(3, n) + 1)) / n)
-        h = [np.convolve(f, (1.0, -2.0, 1.0))[:N]]  # h_(j+1) = h_j / (1 - s)
-        for _ in range(J - 2):
-            h.append(np.cumsum(h[-1]))
-        k, n = np.arange(J + 1), np.arange(N)
-        bern = np.array([[math.comb(j, i) * float(BERNOULLI[j - i]) if i <= j else 0.0
-                          for i in k] for j in range(2, J + 1)])
-        # frac(sigma)^k moments, less (i + 1/2)^(n-1/2) / (k + 1) on [i, i + 1]
-        # (B_j cancels it, but the rule sums B_j to 0 only within 4e-16);
-        # einsum, as BLAS matmul would touch 0.3 MB of buffers
-        x = 0.5 * (_GL_X + 1.0)
-        i = np.arange(1, _EM_EDGE)[:, None, None]
-        g = ((i + x[:, None]) ** (n - 0.5) - (i + 0.5) ** (n - 0.5)).sum(axis=0)
-        S = 1 / (k[:, None] + n + 0.5) + np.einsum("kx,xn", x ** k[:, None] * (0.5 * _GL_W), g)
-        M = np.einsum("jk,kn", bern, S)
-        _C_TAIL = np.zeros(J + N - 2)
-        for r, row in enumerate(M * np.array(h)):
-            _C_TAIL[r:r + N] += (-1) ** r * row
-    return _C_TAIL
+    """c_2 .. c_26 of the tail band (see _dint_em_batch), built on first use:
+    f_n of q^(-1/2) from q f' = -(1/2) q' f, h_(j,n) by partial sums from
+    j = 2, M_(j,n) in closed form on [0, 1], by the 20-point rule on
+    [i, i + 1].  Within 1e-12 relative of mpmath."""
+    J, N = _T_SERIES_J, _TAIL_N
+    q = (1.0, -1.5, 1.0, -0.25)
+    f = [1.0]
+    for n in range(1, N):
+        f.append(sum((-0.5 * k - n + k) * q[k] * f[n - k] for k in range(1, min(3, n) + 1)) / n)
+    h = [np.convolve(f, (1.0, -2.0, 1.0))[:N]]  # h_(j+1) = h_j / (1 - s)
+    for _ in range(J - 2):
+        h.append(np.cumsum(h[-1]))
+    k, n = np.arange(J + 1), np.arange(N)
+    bern = np.array([[math.comb(j, i) * float(BERNOULLI[j - i]) if i <= j else 0.0
+                      for i in k] for j in range(2, J + 1)])
+    # frac(sigma)^k moments, less (i + 1/2)^(n-1/2) / (k + 1) on [i, i + 1]
+    # (B_j cancels it, but the rule sums B_j to 0 only within 4e-16);
+    # einsum, as BLAS matmul would touch 0.3 MB of buffers
+    x = 0.5 * (_GL_X + 1.0)
+    i = np.arange(1, _EM_EDGE)[:, None, None]
+    g = ((i + x[:, None]) ** (n - 0.5) - (i + 0.5) ** (n - 0.5)).sum(axis=0)
+    S = 1 / (k[:, None] + n + 0.5) + np.einsum("kx,xn", x ** k[:, None] * (0.5 * _GL_W), g)
+    M = np.einsum("jk,kn", bern, S)
+    c = np.zeros(J + N - 2)
+    for r, row in enumerate(M * np.array(h)):
+        c[r:r + N] += (-1) ** r * row
+    return c
 
 
 def _dint_em_batch(Cs: np.ndarray) -> np.ndarray:
@@ -709,44 +698,44 @@ def _dint_em_batch(Cs: np.ndarray) -> np.ndarray:
 
 
 _DINT_CROSSOVER = 256
-_DINT_CACHE: dict[int, float] = {}
 
 
-def _dint_arguments(values) -> set[int]:
-    """The C of ``values`` as Python ints; ValueError unless each is an
-    integer (int or numpy integer) C >= 1."""
-    try:
-        Cs = set(map(operator.index, values))
-    except TypeError:
-        raise ValueError("dint needs integer C >= 1") from None
-    if Cs and min(Cs) < 1:
-        raise ValueError("dint needs integer C >= 1")
-    return Cs
+def _dint_arguments(values) -> np.ndarray:
+    """The C of the sequence ``values`` as an int64 array; ValueError unless
+    each is an integer (int or numpy integer) with 1 <= C < 2^63."""
+    Cs = np.asarray(values)
+    # a C >= 2^63 makes the array uint64, which a cast to int64 would wrap,
+    # so it is bounded before the cast; an empty list is a float64 array
+    if Cs.ndim != 1 or (Cs.size and (Cs.dtype.kind not in "iu" or Cs.min() < 1
+                                     or Cs.max() >= 1 << 63)):
+        raise ValueError("dint needs integer C with 1 <= C < 2^63")
+    return Cs.astype(np.int64, copy=False)
 
 
-def warm_dint_cache(values) -> None:
-    """Pre-compute dint for many integers C >= 1 at once: every C up to the
-    crossover in grouped direct passes (at most _DINT_GROUP pieces per pass),
-    every larger C in endpoint-expansion batches of at most _DINT_GROUP C, so
-    memory stays bounded however many C are asked for.  A value does not
-    depend on its batch."""
-    missing = sorted(_dint_arguments(values).difference(_DINT_CACHE))
-    small = [C for C in missing if C <= _DINT_CROSSOVER]
-    large = [C for C in missing if C > _DINT_CROSSOVER]
-    batches = [(small, _dint_direct_batch)] + [
-        (large[i:i + _DINT_GROUP], _dint_em_batch) for i in range(0, len(large), _DINT_GROUP)
-    ]
-    for Cs, batch in batches:
-        if Cs:
-            _DINT_CACHE.update(zip(Cs, batch(np.array(Cs, dtype=np.int64)).tolist()))
+def warm_dint_cache(values) -> np.ndarray:
+    """dint(C) for each integer C >= 1 of ``values``, in their order: every C
+    up to the crossover in one grouped direct pass (at most _DINT_GROUP
+    pieces per group), every larger C in endpoint-expansion slices of at most
+    _DINT_GROUP C, so memory stays bounded however many C are asked for.  A
+    value does not depend on its batch.
+
+    Nothing is cached.  The name stays, and every caller in this module
+    looks it up as a module global, because bench/tracer.py patches this
+    attribute to time the dint pass."""
+    Cs = _dint_arguments(values)
+    out = np.empty(len(Cs))
+    small = Cs <= _DINT_CROSSOVER
+    out[small] = _dint_direct_batch(Cs[small])
+    large = np.flatnonzero(~small)
+    for i in range(0, len(large), _DINT_GROUP):
+        rows = large[i:i + _DINT_GROUP]
+        out[rows] = _dint_em_batch(Cs[rows])
+    return out
 
 
 def fractional_part_double_integral(C: int) -> float:
     """dint(C) for integer C >= 1; absolute accuracy around 1e-8 or better."""
-    (C,) = _dint_arguments([C])
-    if C not in _DINT_CACHE:
-        warm_dint_cache([C])
-    return _DINT_CACHE[C]
+    return float(warm_dint_cache([C])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +763,9 @@ def fractional_part_double_integral(C: int) -> float:
 #          exceeds about 128 KB however large the box.
 
 # Largest cutoff of the beta box.  Its time grows about like cutoff^2.7 and
-# its memory with the number of moduli: at the cap it takes 9-10 s and a
-# peak RSS of 172 MB on a shared 2-CPU Xeon.
+# its memory with the number of moduli (529,151 at the cap): at the cap it
+# takes 3.6-3.9 s at a peak RSS of 117 MB (5 fresh processes on a shared
+# 2-CPU Xeon).
 BETA_CUTOFF_CAP = 400
 _BETA_BLOCK = 1 << 14  # terms per block of the beta sum: 128 KB of float64
 
@@ -854,12 +844,6 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _dints(keys: list[int]) -> np.ndarray:
-    """dint at every key, through the cache."""
-    warm_dint_cache(keys)
-    return np.fromiter(map(_DINT_CACHE.__getitem__, keys), dtype=np.float64, count=len(keys))
-
-
 def linear_term_constant(cutoff: int) -> tuple[float, float]:
     """Partial sum of the secondary linear-term constant with a crude tail bound.
 
@@ -895,7 +879,7 @@ def linear_term_constant(cutoff: int) -> tuple[float, float]:
     # leaves a term of the box, so the moduli are closed under m -> m/k0:
     # they are exactly the arguments of dint that the sum needs
     keys = _distinct(np.concatenate([_distinct(moduli(b)) for b in blocks]))
-    sums = _mobius_dint_sums(keys, primes, keys, _dints(keys.tolist()))
+    sums = _mobius_dint_sums(keys, primes, keys, warm_dint_cache(keys))
     total = 0.0
     for b in blocks:
         m = moduli(b)

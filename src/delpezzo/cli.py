@@ -154,7 +154,7 @@ def parse_args(argv) -> argparse.Namespace:
     p.add_argument("--p", dest="primes", type=_primes, default="2,3,5,7",
                    help="comma-separated primes")
     p.add_argument("--rmax", type=_int_at_least(1), default=2)
-    p.add_argument("--mode", choices=("auto", "naive", "tables"), default="auto")
+    p.add_argument("--mode", choices=("naive", "tables"), default="tables")
 
     p = command("zeta", _cmd_zeta, "series layer values at a real argument")
     p.add_argument("--s", type=_s_value, default=2.0)

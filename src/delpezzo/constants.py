@@ -285,13 +285,13 @@ def _density_count_tables(p: int, r: int) -> int:
     return total
 
 
-def local_density_brute(p: int, r: int, mode: str = "auto") -> Fraction:
+def local_density_brute(p: int, r: int, mode: str = "tables") -> Fraction:
     """Exact N(p^r) / p^(3r) with N(p^r) the number of residue 5-tuples
     modulo p^r solving both forms.
 
     ``mode``: 'tables' counts by valuation classes of (x0, x1) in
-    O(r^2 p^r) time (cap p^r <= 10^7); 'auto' is 'tables'; 'naive' scans
-    all p^(5r) tuples (cap 10^8) and is the oracle of 'tables'.
+    O(r^2 p^r) time (cap p^r <= 10^7); 'naive' scans all p^(5r) tuples
+    (cap 10^8) and is the oracle of 'tables'.
     """
     if r < 1:
         raise ValueError("r >= 1 required")
@@ -299,7 +299,7 @@ def local_density_brute(p: int, r: int, mode: str = "auto") -> Fraction:
         if p ** (5 * r) > NAIVE_DENSITY_CAP:
             raise SizeCapError(f"naive density count needs p^(5r) <= {NAIVE_DENSITY_CAP}")
         n = _density_count_naive(p, r)
-    elif mode in ("auto", "tables"):
+    elif mode == "tables":
         if p**r > FAST_DENSITY_CAP:
             raise SizeCapError(f"table density count needs p^r <= {FAST_DENSITY_CAP}")
         n = _density_count_tables(p, r)

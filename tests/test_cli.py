@@ -47,7 +47,7 @@ class TestParsing:
     @pytest.mark.parametrize("argv, expected", [
         (["verify"], {"suite": "all", "bmax": 1000}),
         (["constants"], {"prime_cutoff": 10**6, "quad_tol": 1e-12, "beta_cutoff": 100}),
-        (["densities"], {"primes": [2, 3, 5, 7], "rmax": 2, "mode": "auto"}),
+        (["densities"], {"primes": [2, 3, 5, 7], "rmax": 2, "mode": "tables"}),
         (["zeta"], {"s": 2.0, "primes": [2, 3, 5], "prime_cutoff": 10**5}),
         (["decompose"], {"grid": [1000, 10000, 100000], "beta_cutoff": 100}),
     ])
@@ -142,6 +142,7 @@ class TestExitCodes:
         ["count", "--bmax", "10", "--threads", "100000"],
         ["zeta", "--p", str(2**1279 - 1)],  # a prime past the float range
         ["densities", "--p", str(2**1279 - 1)],
+        ["densities", "--mode", "auto"],  # the table count, now its default
     ])
     def test_domain_errors_are_usage_errors(self, args, capsys):
         assert cli.main(args) == cli.EXIT_USAGE
@@ -443,10 +444,10 @@ class TestLazyImports:
         probe = (
             "import contextlib, io, json, sys\n"
             "from delpezzo import arith, cli\n"
-            "assert arith._C_TAIL is None\n"
+            "assert arith._tail_coefficients.cache_info().currsize == 0\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = cli.main(json.loads(sys.argv[1]))\n"
-            "print(json.dumps([code, arith._C_TAIL is not None]))\n"
+            "print(json.dumps([code, arith._tail_coefficients.cache_info().currsize == 1]))\n"
         )
         proc = subprocess.run([sys.executable, "-c", probe, json.dumps([*argv, "--no-timestamp"])],
                               capture_output=True, text=True)

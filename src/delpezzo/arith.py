@@ -62,6 +62,22 @@ def mobius_sieve(n: int) -> np.ndarray:
     return mu
 
 
+def _base_pair_lists(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (v2, y1) with v2 squarefree and -1 a square modulo
+    v2 y1^2, as the product of two int64 lists, both ascending: the
+    squarefree v2 <= n and the odd y1 <= n, neither with a prime = 3
+    (mod 4).  One sieve to n finds both."""
+    good = np.ones(n + 1, dtype=bool)  # no prime = 3 (mod 4)
+    good[0] = False
+    square = np.zeros(n + 1, dtype=bool)  # p^2 | j for a prime p != 3 (mod 4)
+    for p in primes_up_to(n).tolist():
+        if p % 4 == 3:
+            good[p::p] = False
+        else:
+            square[p * p::p * p] = True
+    return np.flatnonzero(good & ~square), np.flatnonzero(good[1::2]) * 2 + 1
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of ``n >= 1`` as ``{prime: exponent}``, primes ascending."""
     if n < 1:
@@ -147,7 +163,6 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(factorize(n).items())
 
 
-@lru_cache(maxsize=1 << 17)
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in _factor_pairs(n):
@@ -155,7 +170,6 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-@lru_cache(maxsize=1 << 17)
 def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in _factor_pairs(n))
 
@@ -702,13 +716,14 @@ _DINT_CROSSOVER = 256
 
 def _dint_arguments(values) -> np.ndarray:
     """The C of the sequence ``values`` as an int64 array; ValueError unless
-    each is an integer (int or numpy integer) with 1 <= C < 2^63."""
+    each is an integer (int or numpy integer) with 1 <= C <= 2^53."""
     Cs = np.asarray(values)
-    # a C >= 2^63 makes the array uint64, which a cast to int64 would wrap,
-    # so it is bounded before the cast; an empty list is a float64 array
+    # every formula uses C as a float64, which is the integer C only up to
+    # 2^53; a C >= 2^63 makes the array uint64 or object, so it is bounded
+    # before the cast to int64.  An empty list is a float64 array.
     if Cs.ndim != 1 or (Cs.size and (Cs.dtype.kind not in "iu" or Cs.min() < 1
-                                     or Cs.max() >= 1 << 63)):
-        raise ValueError("dint needs integer C with 1 <= C < 2^63")
+                                     or Cs.max() > 1 << 53)):
+        raise ValueError("dint needs integer C with 1 <= C <= 2^53")
     return Cs.astype(np.int64, copy=False)
 
 
@@ -734,7 +749,8 @@ def warm_dint_cache(values) -> np.ndarray:
 
 
 def fractional_part_double_integral(C: int) -> float:
-    """dint(C) for integer C >= 1; absolute accuracy around 1e-8 or better."""
+    """dint(C) for integer 1 <= C <= 2^53, with an absolute error of at most
+    about 1e-10 up to the crossover and about 1e-14 past it."""
     return float(warm_dint_cache([C])[0])
 
 
@@ -747,8 +763,9 @@ def fractional_part_double_integral(C: int) -> float:
 # the roundings of the scalar loop over (v2, y1, v1) and every term's product
 # in ascending order of its primes:
 #
-#   eta    eta(v2 y1^2) over the (v2, y1) grid, exact int64 from the primes
-#          up to the cutoff (_eta_grid).
+#   eta    eta(v2 y1^2) = 2^(odd primes of v2 y1), exact int64, on the pairs
+#          (v2, y1) of _base_pair_lists; the other pairs have no term
+#          (_box_pairs).
 #   pref   one float64 per term, in (v2, y1, v1) order: -(3/pi^2) eta, times
 #          1 - chi(p)/p for each p | v1 v2 ascending, then p/(p+1) for each
 #          p | m ascending, one masked multiply per prime (_prefactors).
@@ -770,21 +787,17 @@ BETA_CUTOFF_CAP = 400
 _BETA_BLOCK = 1 << 14  # terms per block of the beta sum: 128 KB of float64
 
 
-def _eta_grid(v2, y1, primes) -> np.ndarray:
-    """eta(v2 * y1^2) as int64 over the grid v2[:, None], y1[None, :];
-    ``primes`` must hold every odd prime of the v2 and y1."""
-    v2 = np.asarray(v2, dtype=np.int64)[:, None]
-    y1 = np.asarray(y1, dtype=np.int64)[None, :]
-    zero = (v2 % 4 == 0) | (y1 % 2 == 0)  # 4 | v2 y1^2
-    k = np.zeros(zero.shape, dtype=np.int64)  # primes = 1 (mod 4) of v2 y1
-    for p in primes:
-        if p % 2:
-            hit = (v2 % p == 0) | (y1 % p == 0)
-            if p % 4 == 3:
-                zero |= hit
-            else:
-                k += hit
-    return np.where(zero, 0, np.left_shift(1, k))
+def _box_pairs(cutoff: int, primes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v2, y1, eta): the pairs of ``_base_pair_lists(cutoff)`` in row order
+    and eta(v2 y1^2) on each, as int64 arrays.  Every odd prime of v2 y1 is
+    1 (mod 4), so eta = 2^(odd primes of v2 y1).  ``primes`` ascending, the
+    primes up to the cutoff."""
+    v2s, y1s = _base_pair_lists(cutoff)
+    v2, y1 = np.repeat(v2s, len(y1s)), np.tile(y1s, len(v2s))
+    odd = np.zeros(cutoff + 1, dtype=np.int64)  # odd primes of each j
+    for p in primes[1:]:
+        odd[p::p] += 1
+    return v2, y1, np.left_shift(1, odd[v2] + odd[y1] - odd[np.gcd(v2, y1)])
 
 
 def _prefactors(eta, v2, y1, v1, primes) -> np.ndarray:
@@ -863,12 +876,7 @@ def linear_term_constant(cutoff: int) -> tuple[float, float]:
         raise SizeCapError(f"beta cutoff exceeds the cap {BETA_CUTOFF_CAP}")
     primes = primes_up_to(cutoff).tolist()
     n = np.arange(1, cutoff + 1, dtype=np.int64)
-    eta = _eta_grid(n, n, primes)
-    eta[mobius_sieve(cutoff)[1:] == 0] = 0  # |mu(v2)|
-    v2, y1 = np.nonzero(eta)  # the pairs (v2, y1) with a term, in row order
-    eta = eta[v2, y1]
-    v2 += 1
-    y1 += 1
+    v2, y1, eta = _box_pairs(cutoff, primes)
     step = max(1, _BETA_BLOCK // cutoff)
     blocks = [slice(lo, lo + step) for lo in range(0, len(v2), step)]
 

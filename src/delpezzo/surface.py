@@ -15,7 +15,6 @@ the fast counter in :mod:`delpezzo.torsor` and share none of its machinery.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from math import gcd, isqrt
@@ -203,7 +202,6 @@ class DegenerateCount:
     B: int
     vectors: int
     points: int
-    conic_ratio: float  # points / ((12/pi^2) * B)
 
 
 def count_degenerate(B: int) -> DegenerateCount:
@@ -223,7 +221,4 @@ def count_degenerate(B: int) -> DegenerateCount:
         raise SizeCapError(f"count_degenerate is capped at B = {DEGENERATE_CAP}")
     vectors = 2 + 4 * _coprime_pairs(isqrt(B)) + 4 * _coprime_pairs(isqrt(isqrt(B)))
     points = vectors // 2
-    return DegenerateCount(
-        B=B, vectors=vectors, points=points,
-        conic_ratio=points / ((12 / math.pi**2) * B),
-    )
+    return DegenerateCount(B=B, vectors=vectors, points=points)

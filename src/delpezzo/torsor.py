@@ -16,13 +16,14 @@ The counter walks the cells (v1, v2, y1, y2) in that order, grouped by
 (v1, v2, y1); counting, enumeration and the partial sum of the main-term
 coefficients Delta(n) share the walk.  A cell needs a root of -1 modulo
 m = v2 y1^2: v2 squarefree and y1 odd, neither with a prime = 3 (mod 4),
-which sieves to isqrt(B) list.  The parallel count deals every W-th
-group to each of W shares, and the roots of -1 mod m are looked up once per
-group.  With w = y0^2 y2 the equation reads w^2 + y3^2 = m y4, so
-y3 = rho w (mod m) for a root rho, and each pair rho, m - rho gives one
-progression y3 = rho w + (k - t) m, 0 <= k < K, over -Y3 <= y3 <= Y3
-(``_progressions``).  Every coprimality condition on y3 and y4 is a
-congruence on k, so the counter visits no candidate: it counts each
+which one sieve to isqrt(B) lists (``arith._base_pair_lists``; the beta
+box of ``arith.linear_term_constant`` takes its pairs from it too).  The
+parallel count deals every W-th group to each of W shares, and the roots of
+-1 mod m are looked up once per group.  With w = y0^2 y2 the equation reads
+w^2 + y3^2 = m y4, so y3 = rho w (mod m) for a root rho, and each pair
+rho, m - rho gives one progression y3 = rho w + (k - t) m, 0 <= k < K, over
+-Y3 <= y3 <= Y3 (``_progressions``).  Every coprimality condition on y3
+and y4 is a congruence on k, so the counter visits no candidate: it counts each
 progression by floor sums, a Mobius sum over the squarefree d | y2
 (k = t mod d) from one divisor table per count, less one or two classes
 k = t + a + b w (mod p) per prime p of v1 v2, a and b fixed by p and rho,
@@ -50,8 +51,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .arith import (
-    _spf_table, _tonelli_sqrt_minus_one, cell_density, factorize, is_squarefree, mobius_sieve,
-    primes_up_to, sqrts_minus_one, squarefree_part,
+    _base_pair_lists, _spf_table, _tonelli_sqrt_minus_one, cell_density, factorize,
+    is_squarefree, mobius_sieve, sqrts_minus_one, squarefree_part,
     sqrt_minus_one_count,  # noqa: F401  unused, but bench/tracer.py patches this name
 )
 from .errors import DelPezzoError, NotInDomainError, SizeCapError, TorsorValidationError
@@ -459,16 +460,11 @@ def _count_groups(B: int, groups) -> int:
 
 def _base_pairs(B: int):
     """(v2, [y1, ...]) by ascending v2 and y1: squarefree v2, v2^3 y1^2 <= B
-    and -1 a square mod v2 y1^2, that is, y1 odd and neither v2 nor y1 with
-    a prime = 3 (mod 4); two sieves to isqrt(B) find both."""
-    n = isqrt(B)
-    primes = primes_up_to(n)
-    good = np.ones(n + 1, dtype=bool)  # no prime = 3 (mod 4)
-    for p in primes[primes % 4 == 3].tolist():
-        good[p::p] = False
-    y1s = (np.flatnonzero(good[1::2]) * 2 + 1).tolist()
-    v2s = [v2 for v2 in np.flatnonzero(good & (mobius_sieve(n) != 0)).tolist() if v2**3 <= B]
-    return [(v2, y1s[:bisect_right(y1s, isqrt(B // v2**3))]) for v2 in v2s]
+    and -1 a square mod v2 y1^2, from ``_base_pair_lists(isqrt(B))``."""
+    v2s, y1s = _base_pair_lists(isqrt(B))
+    y1s = y1s.tolist()
+    return [(v2, y1s[:bisect_right(y1s, isqrt(B // v2**3))])
+            for v2 in v2s.tolist() if v2**3 <= B]
 
 
 def _groups(B: int):

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from math import gcd, pi
 
@@ -660,7 +661,7 @@ class TestSecondaryDensity:
     def test_vanishing(self):
         # eta(v2 y1^2) = 0 at (v2, y1) = (1, 2) and (3, 1), so their prefactors vanish
         for v2, y1 in ((1, 2), (3, 1)):
-            eta = A._eta_grid([v2], [y1], [2, 3])[0]
+            eta = np.array([A.sqrt_minus_one_count(v2 * y1 * y1)])
             assert A._prefactors(eta, [v2], [y1], [1], [2, 3])[0, 0] == 0.0
 
     def test_base_value_matches_oracle(self):
@@ -683,27 +684,32 @@ class TestSecondaryDensity:
     def test_constant_pinned(self, cutoff, beta):
         assert abs(A.linear_term_constant(cutoff)[0] - beta) <= 1e-12 * abs(beta)
 
-    def test_eta_grid(self):
-        n = np.arange(1, 101)
-        grid = A._eta_grid(n, n, A.primes_up_to(100).tolist())
-        ref = [[A.sqrt_minus_one_count(v2 * y1 * y1) for y1 in range(1, 101)]
-               for v2 in range(1, 101)]
-        assert grid.tolist() == ref
+    def test_base_pair_lists(self):
+        # the sieve's pairs are those of the definition, in row order, and
+        # the box's eta is sqrt_minus_one_count on each
+        n = 300
+        ref = [(v2, y1) for v2 in range(1, n + 1) if A.is_squarefree(v2)
+               for y1 in range(1, n + 1) if A.sqrt_minus_one_count(v2 * y1 * y1)]
+        v2s, y1s = A._base_pair_lists(n)
+        assert [(v2, y1) for v2 in v2s.tolist() for y1 in y1s.tolist()] == ref
+        v2, y1, eta = A._box_pairs(n, A.primes_up_to(n).tolist())
+        assert list(zip(v2.tolist(), y1.tolist())) == ref
+        assert eta.tolist() == [A.sqrt_minus_one_count(v2 * y1 * y1) for v2, y1 in ref]
 
     def test_prefactors_on_the_box(self):
         V = 40
-        n = np.arange(1, V + 1)
-        eta = A._eta_grid(n, n, A.primes_up_to(V).tolist())
-        v2, y1 = np.nonzero(eta)
-        pref = A._prefactors(eta[v2, y1], v2 + 1, y1 + 1, n, A.primes_up_to(V).tolist())
-        ref = [[scalar_prefactor(v1, a + 1, b + 1) for v1 in range(1, V + 1)]
-               for a, b in zip(v2.tolist(), y1.tolist())]
+        pairs = [(v2, y1) for v2 in range(1, V + 1) for y1 in range(1, V + 1)
+                 if A.sqrt_minus_one_count(v2 * y1 * y1)]
+        v2, y1 = np.array(pairs).T
+        eta = np.array([A.sqrt_minus_one_count(a * b * b) for a, b in pairs])
+        pref = A._prefactors(eta, v2, y1, np.arange(1, V + 1), A.primes_up_to(V).tolist())
+        ref = [[scalar_prefactor(v1, a, b) for v1 in range(1, V + 1)] for a, b in pairs]
         assert pref.tolist() == ref
 
     @pytest.mark.parametrize("v1, v2, y1", [(10**6 + 3, 1, 1), (1, 97 * 101, 5), (2, 1, 13**3)])
     def test_triples_past_the_cutoff(self, v1, v2, y1):
         primes = sorted(trial_division(v1 * v2 * y1))
-        eta = A._eta_grid([v2], [y1], primes)[0]
+        eta = np.array([A.sqrt_minus_one_count(v2 * y1 * y1)])
         pref = A._prefactors(eta, [v2], [y1], [v1], primes)[0, 0]
         assert pref == scalar_prefactor(v1, v2, y1) != 0
         m = v1 * v2 * y1
@@ -789,14 +795,23 @@ class TestErrors:
             A.fractional_part_double_integral(0)
 
     def test_dint_needs_an_integer(self):
-        # 2^63 makes the array uint64, which a cast to int64 would wrap
-        for bad in (2.5, 0, -3, "7", 2**63):
+        # past 2^53 the float64 C of the formulas is no longer the integer C
+        # (from about 10^18 they gave nan); 2^63 makes the array uint64,
+        # which a cast to int64 would wrap
+        for bad in (2.5, 0, -3, "7", 2**53 + 1, 10**18, 2**63 - 1, 2**63):
             with pytest.raises(ValueError):
                 A.fractional_part_double_integral(bad)
             with pytest.raises(ValueError):
                 A.warm_dint_cache([5, bad])
         assert A.fractional_part_double_integral(np.int64(3)) == A.fractional_part_double_integral(3)
         assert A.warm_dint_cache(np.array([4, 300]))[1] == A.fractional_part_double_integral(300)
+
+    def test_dint_at_the_float_limit(self):
+        # the largest C: no "divide by zero" or "invalid value" warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert A.fractional_part_double_integral(2**53) == 1.0
+            assert A.warm_dint_cache([5, 2**53])[1] == 1.0
 
     @pytest.mark.parametrize("call,error", [
         (lambda: A.sqrts_minus_one(0), ValueError),

@@ -149,7 +149,8 @@ class TestDegenerate:
         assert b4.z_degenerate == S.count_degenerate(4).vectors == 18
 
     def test_asymptotic_ratio(self):
-        r = S.count_degenerate(10**6).conic_ratio
+        # the conics x0 = 0 hold about (12/pi^2) B of the points
+        r = S.count_degenerate(10**6).points / ((12 / math.pi**2) * 10**6)
         assert 0.95 < r < 1.05
 
     def test_cap(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -361,18 +361,31 @@ def residue_density(v1: int, v2: int, y1: int, y2: int) -> Fraction:
     """
     if min(v1, v2, y1, y2) < 1:
         raise ValueError("arguments must be positive")
-    if not (is_squarefree(v2) and gcd(y2, v2 * y1) == 1):
+    if gcd(y2, v2 * y1) != 1:
         return Fraction(0)
-    eta = sqrt_minus_one_count(v2 * y1 * y1)
-    if eta == 0:
-        return Fraction(0)
-    out = Fraction(eta) * Fraction(euler_phi(y2), y2)
-    for p, _ in _factor_pairs(v1):
-        if v2 % p and y1 % p and y2 % p:
-            out *= Fraction(p - 1 - chi(p), p)
+    return _cell_factor(*_group_factors(v1, v2, y1), y2)
+
+
+def _group_factors(v1: int, v2: int, y1: int) -> tuple[Fraction, tuple]:
+    """The factors of residue_density(v1, v2, y1, y2) common to every y2
+    prime to v2 y1: (theta, rest) with theta = eta(v2 y1^2) times the
+    product over p | v2 gcd(v1, y1), and rest the (p, 1 - (1+chi(p))/p) for
+    the p | v1 prime to v2 y1, of which ``_cell_factor`` keeps those prime to
+    y2.  theta is 0 when v2 is not squarefree."""
+    if not is_squarefree(v2):
+        return Fraction(0), ()
+    theta = Fraction(sqrt_minus_one_count(v2 * y1 * y1))
     for p, _ in _factor_pairs(v2 * gcd(v1, y1)):
-        out *= Fraction(p - chi(p), p)
-    return out
+        theta *= Fraction(p - chi(p), p)
+    rest = tuple((p, Fraction(p - 1 - chi(p), p)) for p, _ in _factor_pairs(v1)
+                 if v2 % p and y1 % p)
+    return theta, rest
+
+
+def _cell_factor(theta: Fraction, rest: tuple, y2: int) -> Fraction:
+    """residue_density(v1, v2, y1, y2) from _group_factors(v1, v2, y1), for
+    y2 prime to v2 y1."""
+    return theta * Fraction(euler_phi(y2), y2) * prod(f for p, f in rest if y2 % p)
 
 
 def residue_density_mobius(v1: int, v2: int, y1: int, y2: int) -> Fraction:
@@ -450,20 +463,29 @@ def main_term_coefficient(n: int) -> float:
 # piecewise-rational between consecutive integers, so only the u-direction is
 # quadrature.  For large C the oscillatory middle range is reduced to
 # endpoint terms by repeated integration by parts against periodic Bernoulli
-# polynomials, and the band next to C is a polynomial in 1/C, exact to 5e-33
-# (see _dint_em_batch): O(1) work per C, not O(C).  Below the crossover the
+# polynomials, and the band next to C is a polynomial in 1/C, exact to 1e-23
+# (see _dint_em_batch): O(1) work per C, not O(C).  Up to the crossover the
 # direct path evaluates the O(C) pieces between the kinks of many C at once,
-# in groups of bounded size (see _DINT_GROUP).  The kinks are where C x
-# crosses an integer, so the integer part of A = C x is known on each piece
-# and F is exact there with no floor: F(M + 1), the one value that needs a
-# zeta(2) tail, is taken once per piece, not once per node.
+# in slices of bounded size (see _DINT_GROUP).  The kinks are where C x
+# crosses an integer, so the integer part M of A = C x is known on each
+# piece and F is exact there with no floor: F(M + 1) is read from a table,
+# once per piece, not once per node.
+#
+# The crossover is the smallest C0 - 1 at which the tail band's coefficients,
+# 1e-12 relative of their 50-digit values, move dint(C0) by less than 1e-19
+# each (c_2 and c_3 are about 4e-17 off): it fails at 81 on c_2.  On either
+# side of it both paths are within about 1e-15 of a 20-digit oracle.
+_DINT_CROSSOVER = 82
 
-_ZETA2 = math.pi * math.pi / 6
-# Partial sums H2[M] = sum_{n <= M} 1/n^2 for M < _H2_N.  The direct path
-# reads M <= 257 (A = C x < 257); beyond that zeta(2) - H2[M] cancels (an
-# error of about 1e-7 in I(A) at A = 4000), so the tail takes the series.
-_H2_N = 258
-_H2 = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, _H2_N) ** 2)))
+# F(M + 1) for M = 0 .. _DINT_CROSSOVER: F(K) = sum_{n >= K} 1/(2 n (n+1)^2),
+# added from the far end down, so nothing cancels (1/(2K) - (1/2) sum_{n > K}
+# 1/n^2 cancels about 2K-fold).  Its start, F(K) ~ 1/(4K^2) - 1/(12K^3) +
+# 1/(60K^5) - 1/(84K^7) + 1/(60K^9), is truncated 1e-18 relative off.
+_F_TOP = float(_DINT_CROSSOVER + 1)
+_F_INT = np.cumsum(np.append(
+    0.5 / (np.arange(1.0, _F_TOP) * np.arange(2.0, _F_TOP + 1) ** 2),  # F(K) - F(K + 1)
+    1 / (4 * _F_TOP**2) - 1 / (12 * _F_TOP**3) + 1 / (60 * _F_TOP**5)
+    - 1 / (84 * _F_TOP**7) + 1 / (60 * _F_TOP**9))[::-1])[::-1]
 
 
 def _gauss_legendre(nodes, weights):
@@ -485,30 +507,15 @@ _GL_X, _GL_W = _gauss_legendre(
 )
 
 
-def _zeta2_tail(M):
-    """sum_{n > M} 1/n^2 for integer array M >= 1 (vectorized)."""
-    M = np.asarray(M, dtype=np.float64)
-    small = M < _H2_N
-    out = np.empty_like(M)
-    idx = M[small].astype(np.int64)
-    out[small] = _ZETA2 - _H2[idx]
-    Mb = M[~small]
-    out[~small] = 1 / Mb - 0.5 / Mb**2 + 1 / (6 * Mb**3) - 1 / (30 * Mb**5) + 1 / (42 * Mb**7)
-    return out
-
-
 def _F_on_piece(t, M):
     """F(t) = int_t^inf frac(s) s^-3 ds for t in [M, M + 1], with M the integer
-    part of t as a float array broadcasting against t: frac(s) = s - M up to
-    M + 1, and F(M + 1) = 1/(2(M + 1)) - (1/2) sum_{n > M + 1} 1/n^2."""
-    FM1 = 0.5 / (M + 1) - 0.5 * _zeta2_tail(M + 1)
-    return (1 / t - 1 / (M + 1)) - 0.5 * M * (1 / t**2 - 1 / (M + 1) ** 2) + FM1
-
-
-def _F_frac_tail(t):
-    """F(t) = int_t^inf frac(s) s^-3 ds, vectorized, t > 0 (1/t^2 finite)."""
-    t = np.asarray(t, dtype=np.float64)
-    return _F_on_piece(t, np.floor(t))
+    part of t as a float array broadcasting against t and M <= the crossover.
+    With r = t - M (exact), int_t^(M+1) (s - M) s^-3 ds is
+    (1 - r) (M (1 + r) + 2r) / (2 t^2 (M + 1)^2), whose factors are positive,
+    so nothing cancels."""
+    r = t - M
+    piece = (1 - r) * (M * (1 + r) + 2 * r) / (2 * t * t * (M + 1) ** 2)
+    return piece + _F_INT[M.astype(np.int64)]
 
 
 def _bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
@@ -519,26 +526,33 @@ def _bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-# B_0, ..., B_20: the endpoint expansion reads up to B_13, ``zeta`` up to B_20
+# B_0, ..., B_20: the endpoint expansion reads up to B_14, ``zeta`` up to B_20
 BERNOULLI = _bernoulli_numbers(20)
 
 _T_SERIES_J = 8
 
 
-# The direct path lays the pieces of many C out as one (pieces, 20) array of
-# quadrature nodes.  Whole C are packed into groups of at most _DINT_GROUP
-# pieces (a C with more pieces forms a group of its own); each group is one
-# pass over the integrand, summed per C with np.add.reduceat.  The group size
-# bounds memory: a pass keeps about a dozen temporaries of 20 * 2^9 floats,
-# about 1.3 MB at its peak, where a single pass over every C <= 256 (33k
-# pieces) takes about 80 MB.  Groups of 2^7 to 2^10 pieces take the same time
-# per C.  A value does not depend on its group: the per-piece sums are row
-# sums, which numpy evaluates the same way in any array.
+# warm_dint_cache hands each path slices of the C asked for: the direct path
+# _DINT_GROUP // _DINT_CROSSOVER = 6 C at a time, so at most 2^9 pieces, the
+# endpoint expansion 2^9 C.  The direct path lays the pieces of a slice out
+# as one (pieces, 20) array of quadrature nodes, one pass over the integrand
+# summed per C with np.add.reduceat, which keeps about a dozen temporaries of
+# 20 * 2^9 floats, about 1.3 MB at its peak, however many C are asked for.
+# A value does not depend on its slice: the per-piece sums are row sums,
+# which numpy evaluates the same way in any array.
 _DINT_GROUP = 1 << 9
 
 
-def _dint_direct_group(C: np.ndarray) -> np.ndarray:
-    """dint for one group of C by the direct path; see _dint_direct_batch."""
+def _dint_direct_batch(C: np.ndarray) -> np.ndarray:
+    """dint for an int64 array of C by the direct path, O(C) pieces each:
+    valid for 1 <= C <= crossover + 1, the reach of the table of F.
+
+    x-space form: dint = int_0^1 I(Cx) 4x^3 (1-x^4)^(-1/2) dx with kinks at
+    j/C.  The head pieces [j/C, (j+1)/C] run up to the split xs = (C-1)/C
+    (at C = 1, which has no kink, a single head piece [0, 0.6]); the last
+    piece [xs, 1] is regularized by x = (1-w^2)^(1/4), w in [0, sqrt(1-xs^4)].
+    Every piece is 20-point Gauss-Legendre.
+    """
     n = np.maximum(C, 2)  # pieces per C: the head pieces, then the tail
     starts = np.cumsum(n) - n
     k = np.repeat(np.arange(len(C)), n)  # the C each piece belongs to
@@ -563,37 +577,16 @@ def _dint_direct_group(C: np.ndarray) -> np.ndarray:
     return np.add.reduceat(piece, starts)
 
 
-def _dint_direct_batch(Cs: np.ndarray) -> np.ndarray:
-    """Direct evaluation for an array of C, O(C) pieces each: valid for any C,
-    used below the crossover.
-
-    x-space form: dint = int_0^1 I(Cx) 4x^3 (1-x^4)^(-1/2) dx with kinks at
-    j/C.  The head pieces [j/C, (j+1)/C] run up to the split xs = (C-1)/C
-    (at C = 1, which has no kink, a single head piece [0, 0.6]); the last
-    piece [xs, 1] is regularized by x = (1-w^2)^(1/4), w in [0, sqrt(1-xs^4)].
-    Every piece is 20-point Gauss-Legendre.
-    """
-    Cs = np.asarray(Cs, dtype=np.int64)
-    out = np.empty(len(Cs))
-    ends = np.cumsum(np.maximum(Cs, 2))
-    lo = 0
-    while lo < len(Cs):
-        done = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + _DINT_GROUP, "right")))
-        out[lo:hi] = _dint_direct_group(Cs[lo:hi])
-        lo = hi
-    return out
-
-
 _EM_EDGE = 16  # integer margin kept away from both ends in the endpoint expansion
-_EM_DEPTH = 5  # integration-by-parts depth
+_EM_DEPTH = 6  # integration-by-parts depth: 5 left 5.7e-15 on dint(257), 6 leaves 2.2e-16
 
 
 def _em_boundary_terms() -> dict:
-    """The middle's boundary terms as {(q, h): coef}, meaning coef * tau^q *
-    (1-z)^(-(h+1/2)) / C^(4h) with z = (tau/C)^4: the sum over j = 2 ..
+    """The middle's boundary terms as {(e, h): coef}, meaning coef * tau^e *
+    (z/(1-z))^h (1-z)^(-1/2) with z = (tau/C)^4: the sum over j = 2 ..
     _T_SERIES_J and d < _EM_DEPTH of -(-1)^d B_(j+1+d) / (2 (j+1)...(j+1+d))
-    times the d-th derivative of G_j(tau) = tau^(4-j) (1-z)^(-1/2).
+    times the d-th derivative of G_j(tau) = tau^(4-j) (1-z)^(-1/2).  With
+    w = z/(1-z), d/dtau takes the term (e, h) to (e + 4h) (e-1, h) + (4h + 2) (e-1, h+1).
     """
     out: dict = {}
     for j in range(2, _T_SERIES_J + 1):
@@ -604,29 +597,32 @@ def _em_boundary_terms() -> dict:
                 out[key] = out.get(key, 0.0) + scale * float(BERNOULLI[j + 1 + d]) * cf
             scale = -scale
             nxt: dict = {}
-            for (q, h), cf in terms.items():
-                nxt[q - 1, h] = nxt.get((q - 1, h), 0.0) + cf * q
-                nxt[q + 3, h + 1] = nxt.get((q + 3, h + 1), 0.0) + cf * (4 * h + 2)
+            for (e, h), cf in terms.items():
+                nxt[e - 1, h] = nxt.get((e - 1, h), 0.0) + cf * (e + 4 * h)
+                nxt[e - 1, h + 1] = nxt.get((e - 1, h + 1), 0.0) + cf * (4 * h + 2)
             terms = nxt
     return {key: cf for key, cf in out.items() if cf}
 
 
 _EM_TERMS = _em_boundary_terms()
-_EM_Q = sorted({q for q, _ in _EM_TERMS})  # the 11 powers of tau among the 21 terms
-_EM_H = sorted({h for _, h in _EM_TERMS})  # the 5 powers of 1 - z and of C^-4
+_EM_E = sorted({e for e, _ in _EM_TERMS})  # the 6 powers of tau among the 30 terms
+_EM_H = sorted({h for _, h in _EM_TERMS})  # the 6 powers of z/(1-z)
 
 
 def _em_eval_terms(tau, C):
     """The merged boundary terms at tau (array or scalar), elementwise in C;
-    each distinct power is computed once and shared by its terms."""
-    om = 1.0 - (tau / C) ** 4
-    tau_q = {q: tau**q for q in _EM_Q}
-    om_h = {h: om ** -(h + 0.5) for h in _EM_H}
-    C_h = {h: C ** (-4.0 * h) for h in _EM_H}
+    each distinct power is computed once and shared by its terms.  Every
+    factor stays in range up to C = 2^53: tau^e has |e| <= 9, and z/(1-z)
+    grows only like C/64 at tau = C - 16."""
+    z = (tau / C) ** 4
+    om = 1.0 - z
+    w = z / om
+    tau_e = {e: tau**e for e in _EM_E}
+    w_h = {h: w**h for h in _EM_H}
     total = np.zeros_like(C)
-    for (q, h), cf in _EM_TERMS.items():
-        total += cf * tau_q[q] * om_h[h] * C_h[h]
-    return total
+    for (e, h), cf in _EM_TERMS.items():
+        total += cf * tau_e[e] * w_h[h]
+    return total / np.sqrt(om)
 
 
 @cache
@@ -634,8 +630,9 @@ def _head_moments():
     """The moments int_0^edge tau^(5+4k) T(tau) dtau, k = 0..3, built on
     first use by 20-point Gauss-Legendre on each [n, n + 1], n < edge: T once
     on all the nodes, then one dot product per interval and k."""
-    nodes = (np.arange(_EM_EDGE) + 0.5)[:, None] + 0.5 * _GL_X  # row n: [n, n + 1]
-    T = _F_frac_tail(nodes) - 0.25 / nodes**2
+    n = np.arange(_EM_EDGE, dtype=np.float64)[:, None]
+    nodes = (n + 0.5) + 0.5 * _GL_X  # row n: [n, n + 1]
+    T = _F_on_piece(nodes, n) - 0.25 / nodes**2
     return np.array([
         sum(0.5 * float(np.dot(_GL_W, row)) for row in nodes ** (5 + 4 * k) * T)
         for k in range(4)
@@ -688,8 +685,8 @@ def _dint_em_batch(Cs: np.ndarray) -> np.ndarray:
     q = 1 - 3s/2 + s^2 - s^3/4, so (8/C^4) band = -2 sqrt(C) sum_N c_N C^-N,
     c_N = sum_(j+n=N) (-1)^j h_(j,n) M_(j,n), h_(j,n) the Taylor coefficients
     of (1-s)^(4-j) q(s)^(-1/2), M_(j,n) = int_0^edge B_j(frac(sigma))
-    sigma^(n-1/2) dsigma.  As s <= 16/257, the terms n > 18 add less than
-    5e-33 to dint.
+    sigma^(n-1/2) dsigma.  As s <= 16/83, the terms n > 18 add about 2e-24
+    to dint.
     """
     C = Cs.astype(np.float64)
     a = float(_EM_EDGE)
@@ -711,9 +708,6 @@ def _dint_em_batch(Cs: np.ndarray) -> np.ndarray:
     return 1.0 + (8 / C**4) * (head + mid + tail)
 
 
-_DINT_CROSSOVER = 256
-
-
 def _dint_arguments(values) -> np.ndarray:
     """The C of the sequence ``values`` as an int64 array; ValueError unless
     each is an integer (int or numpy integer) with 1 <= C <= 2^53."""
@@ -729,10 +723,9 @@ def _dint_arguments(values) -> np.ndarray:
 
 def warm_dint_cache(values) -> np.ndarray:
     """dint(C) for each integer C >= 1 of ``values``, in their order: every C
-    up to the crossover in one grouped direct pass (at most _DINT_GROUP
-    pieces per group), every larger C in endpoint-expansion slices of at most
-    _DINT_GROUP C, so memory stays bounded however many C are asked for.  A
-    value does not depend on its batch.
+    up to the crossover by the direct path, every larger C by the endpoint
+    expansion, each in slices (see _DINT_GROUP), so memory stays bounded
+    however many C are asked for.  A value does not depend on its slice.
 
     Nothing is cached.  The name stays, and every caller in this module
     looks it up as a module global, because bench/tracer.py patches this
@@ -740,17 +733,20 @@ def warm_dint_cache(values) -> np.ndarray:
     Cs = _dint_arguments(values)
     out = np.empty(len(Cs))
     small = Cs <= _DINT_CROSSOVER
-    out[small] = _dint_direct_batch(Cs[small])
-    large = np.flatnonzero(~small)
-    for i in range(0, len(large), _DINT_GROUP):
-        rows = large[i:i + _DINT_GROUP]
-        out[rows] = _dint_em_batch(Cs[rows])
+    slices = ((np.flatnonzero(small), _dint_direct_batch, _DINT_GROUP // _DINT_CROSSOVER),
+              (np.flatnonzero(~small), _dint_em_batch, _DINT_GROUP))
+    for rows, path, size in slices:
+        for i in range(0, len(rows), size):
+            out[rows[i:i + size]] = path(Cs[rows[i:i + size]])
     return out
 
 
 def fractional_part_double_integral(C: int) -> float:
-    """dint(C) for integer 1 <= C <= 2^53, with an absolute error of at most
-    about 1e-10 up to the crossover and about 1e-14 past it."""
+    """dint(C) for integer 1 <= C <= 2^53.  Against a 20-digit oracle the
+    error measured is at most 6.7e-16 for 5 <= C <= the crossover and 1.1e-15
+    from the crossover to C = 4097; at C = 1, 2 and 3, where the last piece of
+    the direct path nears the branch point of its substitution, it is
+    2.5e-12, 4.0e-9 and 3.8e-14."""
     return float(warm_dint_cache([C])[0])
 
 

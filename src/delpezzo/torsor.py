@@ -44,6 +44,7 @@ import os
 import signal
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
 from typing import Iterator, Optional
@@ -51,8 +52,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .arith import (
-    _base_pair_lists, _spf_table, _tonelli_sqrt_minus_one, cell_density, factorize,
-    is_squarefree, mobius_sieve, sqrts_minus_one, squarefree_part,
+    _base_pair_lists, _cell_factor, _group_factors, _spf_table, _tonelli_sqrt_minus_one,
+    euler_phi, factorize, is_squarefree, mobius_sieve, sqrts_minus_one, squarefree_part,
     sqrt_minus_one_count,  # noqa: F401  unused, but bench/tracer.py patches this name
 )
 from .errors import DelPezzoError, NotInDomainError, SizeCapError, TorsorValidationError
@@ -450,8 +451,11 @@ def _cell_counts(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s) -> int:
 
 
 def _count_groups(B: int, groups) -> int:
-    """Number of points of the cells of the given groups of ``_groups``."""
-    return sum(_cell_counts(B, v1, v2, y1, m, sqrts_minus_one(m), _y2s(v2 * y1, y2_cap))
+    """Number of points of the cells of the given groups of ``_groups``.  The
+    roots of -1 are found once per modulus m = v2 y1^2, which recurs for
+    every v1."""
+    roots = {m: sqrts_minus_one(m) for m in dict.fromkeys(g[3] for g in groups)}
+    return sum(_cell_counts(B, v1, v2, y1, m, roots[m], _y2s(v2 * y1, y2_cap))
                for v1, v2, y1, m, y2_cap in groups)
 
 
@@ -492,14 +496,6 @@ def _groups(B: int):
 def _y2s(n: int, y2_cap: int) -> list[int]:
     """The y2 in [1, y2_cap] with gcd(y2, n) = 1, ascending."""
     return [y2 for y2 in range(1, y2_cap + 1) if gcd(y2, n) == 1]
-
-
-def _cells(B: int):
-    """Every cell (v1, v2, y1, y2, m) with v1^4 v2^3 y1^2 y2^2 <= B,
-    squarefree v2, a root of -1 modulo m = v2 y1^2 and gcd(y2, v2 y1) = 1,
-    in the order (v1, v2, y1, y2)."""
-    return ((v1, v2, y1, y2, m) for v1, v2, y1, m, y2_cap in _groups(B)
-            for y2 in _y2s(v2 * y1, y2_cap))
 
 
 def _count_forked(B: int, shares) -> int:
@@ -583,7 +579,10 @@ def main_term_partial_sum(bound: int) -> float:
     cell_density / (v2^(1/4) y1^(1/2) y2^(1/2)), summed in the walk's order.
     The per-n divisor walk ``arith.main_term_coefficient`` is its oracle."""
     total = 0.0
-    for v1, v2, y1, y2, _ in _cells(bound):
-        w = cell_density(v1, v2, y1, y2)
-        total += float(w) / (v2 ** 0.25 * math.sqrt(y1) * math.sqrt(y2))
+    for v1, v2, y1, _, y2_cap in _groups(bound):
+        theta, rest = _group_factors(v1, v2, y1)
+        theta *= Fraction(euler_phi(v1 * v2 * y1), v1 * v2 * y1)
+        scale = v2 ** 0.25 * math.sqrt(y1)
+        for y2 in _y2s(v2 * y1, y2_cap):
+            total += float(_cell_factor(theta, rest, y2)) / (scale * math.sqrt(y2))
     return total

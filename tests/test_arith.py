@@ -250,7 +250,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 def inner(a):
     """I(A) = int_0^1 frac(A / sqrt(v)) dv = 2 A^2 F(A), as the direct path forms it."""
     a = np.asarray(a, dtype=np.float64)
-    return 2 * a**2 * A._F_frac_tail(a)
+    return 2 * a**2 * A._F_on_piece(a, np.floor(a))
 
 
 def scalar_dint_direct(C):
@@ -453,17 +453,18 @@ class TestDoubleIntegral:
             assert abs(inner(np.array([a]))[0] - brute) < 5e-5
 
     def test_inner_integral_against_mpmath(self):
-        # the range the direct path evaluates: A = C x with C <= 256, x <= 1;
-        # and past it, where the tail of zeta(2) switches to its series
+        # the range the direct path evaluates: A = C x with C <= the
+        # crossover, x <= 1, and the head moments' A < 16.  The largest error
+        # measured is 2.2e-16, one ulp of I near 1/2
         mp = pytest.importorskip("mpmath")
+        top = A._DINT_CROSSOVER
         A_values = [1e-6, 0.01, 0.3, 0.999, 1.0, 1.0 + 2**-40, 1.5, 2.0, 9.4]
-        A_values += [k + d for k in range(250, 257) for d in (-2**-30, 0.0, 0.5)]
-        A_values += np.linspace(0.0, 256.0, 1001)[1:].tolist()
-        A_values += [257.0, 257.5, 258.0, 300.25, 1000.5, 4000.75, 8185.5, 8192.0]
+        A_values += [k + d for k in range(top - 6, top + 1) for d in (-2**-30, 0.0, 0.5)]
+        A_values += np.linspace(0.0, float(top), 1001)[1:].tolist()
         got = inner(np.array(A_values))
         with mp.workdps(40):
             for a, v in zip(A_values, got):
-                assert abs(v - float(oracle_inner(a, mp))) < 1e-10, a
+                assert abs(v - float(oracle_inner(a, mp))) <= 4.5e-16, a
 
     def test_T_tail_at_computed_fractions(self):
         # the last interval of the quadrature tail band: float nodes, B_j at
@@ -494,12 +495,13 @@ class TestDoubleIntegral:
             assert abs(v - scalar_dint_direct(C)) < 1e-14, C
 
     def test_grouping_leaves_values_unchanged(self):
-        # every C alone against the same C inside many groups, and a C with
-        # more pieces than a group on its own
-        Cs = list(range(1, A._DINT_CROSSOVER + 1)) + [2 * A._DINT_GROUP]
+        # every C alone against the same C inside one batch and inside the
+        # slices of warm_dint_cache
+        Cs = list(range(1, A._DINT_CROSSOVER + 1))
         alone = [A._dint_direct_batch(np.array([C]))[0] for C in Cs]
         assert A._dint_direct_batch(np.array(Cs)).tolist() == alone
-        assert A._dint_direct_batch(np.array(Cs[::-1])).tolist() == alone[::-1]
+        assert A.warm_dint_cache(Cs).tolist() == alone
+        assert A.warm_dint_cache(Cs[::-1]).tolist() == alone[::-1]
 
     def test_em_slices_leave_values_unchanged(self):
         # warm_dint_cache hands large C to the endpoint expansion in slices of
@@ -509,9 +511,9 @@ class TestDoubleIntegral:
         assert A.warm_dint_cache(Cs).tolist() == A._dint_em_batch(Cs).tolist()
 
     def test_tail_band_matches_the_quadrature(self):
-        # every C > 256 of the cutoff-100 beta box and a spread up to 8e6,
-        # the largest modulus of the cutoff-200 box, against the band
-        # integrated by quadrature
+        # every C past the crossover of the cutoff-100 beta box and a spread
+        # up to 8e6, the largest modulus of the cutoff-200 box, against the
+        # band integrated by quadrature
         box = [C for C in box_moduli(100) if C > A._DINT_CROSSOVER]
         spread = np.unique(np.geomspace(A._DINT_CROSSOVER + 1, 8e6, 2000).astype(np.int64))
         for Cs in (np.array(box), spread):
@@ -533,7 +535,7 @@ class TestDoubleIntegral:
             assert 2 * math.sqrt(C0) * err * float(C0) ** -N <= 1e-19, N
             assert err <= 1e-12 * abs(w), N
 
-    @pytest.mark.parametrize("C", [257, 1000, 65537, 10**6])
+    @pytest.mark.parametrize("C", [A._DINT_CROSSOVER + 1, 257, 1000, 65537, 10**6])
     def test_tail_band_against_mpmath(self, C):
         # the band's share of dint, -2 sqrt(C) sum_N c_N C^-N, summed here
         # term by term
@@ -543,11 +545,15 @@ class TestDoubleIntegral:
         want = oracle_tail_band(C, mp)
         assert abs(got - float(want)) <= 1e-14 * abs(want), (got, want)
 
-    @pytest.mark.parametrize("C, tol", [(256, 1e-10), (257, 2e-14)])
+    @pytest.mark.parametrize("C, tol", [
+        (48, 4e-16), (A._DINT_CROSSOVER, 4e-16), (A._DINT_CROSSOVER + 1, 1.4e-15),
+        (256, 4.5e-16), (257, 4.5e-16), (1000, 4.5e-16),
+    ])
     def test_dint_against_mpmath_across_the_crossover(self, C, tol):
-        # the last C of the direct path and the first of the endpoint
-        # expansion; the direct path carries about 3e-11 here, from
-        # zeta(2) - H2[M] at M near 256 (see _zeta2_tail)
+        # the direct path at 48 and at the crossover, the endpoint expansion
+        # from there on; each bound is the error measured, 1.1e-16 at 48, 0
+        # at 82, 1.1e-15 at 83, 1.1e-16 at 256 and 2.2e-16 at 257 and 1000,
+        # plus one ulp of 1, rounded up
         mp = pytest.importorskip("mpmath")
         want = oracle_dint(C, mp)
         assert abs(A.fractional_part_double_integral(C) - float(want)) <= tol
@@ -565,7 +571,8 @@ class TestDoubleIntegral:
             return half * float(np.dot(_GL_W, f(mid + half * _GL_X)))
 
         want = [
-            sum(gl(lambda t: t ** (5 + 4 * k) * (A._F_frac_tail(t) - 0.25 / t**2), n, n + 1)
+            sum(gl(lambda t: t ** (5 + 4 * k) * (A._F_on_piece(t, np.floor(t)) - 0.25 / t**2),
+                   n, n + 1)
                 for n in range(A._EM_EDGE))
             for k in range(4)
         ]
@@ -575,21 +582,23 @@ class TestDoubleIntegral:
         # every term takes its own powers, as in the sum the table stands for
         Cs = np.array([257.0, 300.0, 1024.0, 4097.0, 99991.0, 1e6, 1e8])
         for tau in (16.0, Cs - 16.0, np.full(len(Cs), 100.5)):
-            om = 1.0 - (tau / Cs) ** 4
+            z = (tau / Cs) ** 4
+            om = 1.0 - z
             want = np.zeros_like(Cs)
-            for (q, h), cf in A._EM_TERMS.items():
-                want += cf * tau**q * om ** -(h + 0.5) * Cs ** (-4.0 * h)
-            assert A._em_eval_terms(tau, Cs).tolist() == want.tolist()
+            for (e, h), cf in A._EM_TERMS.items():
+                want += cf * tau**e * (z / om) ** h
+            assert A._em_eval_terms(tau, Cs).tolist() == (want / np.sqrt(om)).tolist()
 
     def test_analytic_value_at_one(self):
         c = math.gamma(1.25) * math.gamma(0.5) / (2 * math.gamma(1.75))
         assert abs(A.fractional_part_double_integral(1) - (4 * c - pi**3 / 12)) < 1e-10
 
     def test_em_matches_direct_on_overlap(self):
-        for C in (260, 300, 400, 512, 777, 1024):
-            em = float(A._dint_em_batch(np.array([C]))[0])
-            direct = A._dint_direct_batch(np.array([C]))[0]
-            assert abs(em - direct) < 5e-8, C
+        # both paths are defined from C = 48 up to the crossover; the
+        # expansion is 2.3e-7 off the direct path at C = 20 and 1e-15 at 47
+        Cs = np.arange(48, A._DINT_CROSSOVER + 1)
+        diff = np.abs(A._dint_em_batch(Cs) - A._dint_direct_batch(Cs))
+        assert diff.max() <= 4e-15, Cs[diff.argmax()]
 
     def test_values_approach_one(self):
         vals = [A.fractional_part_double_integral(C) for C in (10, 100, 1000, 10000)]

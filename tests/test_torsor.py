@@ -1,10 +1,12 @@
 import os
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
 import pytest
 
+from delpezzo import arith as A
 from delpezzo import surface as S
 from delpezzo import torsor as T
 from delpezzo.arith import (
@@ -159,6 +161,33 @@ class TestCounting:
         assert T.count_torsor(2, workers=5) == 1
         assert children == [1, 0]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("B, n", [(10**5, 479470), (10**7, 84525002), (10**8, 1070253416)])
+    def test_roots_once_per_modulus(self, monkeypatch, B, n, workers):
+        """Each share finds the roots of -1 once per distinct modulus
+        m = v2 y1^2 of its groups, through the module global that
+        bench/tracer.py patches.  A stand-in for the fork helper counts the
+        shares in this process, so the counter sees every call."""
+        seen = []
+        roots = T.sqrts_minus_one
+
+        def counted(m):
+            seen[-1].append(m)
+            return roots(m)
+
+        def count_forked(B, shares):
+            total = 0
+            for share in shares:
+                seen.append([])
+                total += T._count_groups(B, share)
+                assert sorted(seen[-1]) == sorted({m for _, _, _, m, _ in share})
+            return total
+
+        monkeypatch.setattr(T, "sqrts_minus_one", counted)
+        monkeypatch.setattr(T, "_count_forked", count_forked)
+        assert T.count_torsor(B, workers=workers) == n
+        assert len(seen) == workers
+
     @pytest.mark.parametrize("who", ["child", "caller"])
     def test_failed_share(self, monkeypatch, who):
         """A share that raises, in a child or in the calling process, raises
@@ -250,7 +279,9 @@ class TestWalk:
     @pytest.mark.parametrize("B", [1, 2, 10**3, 10**5])
     def test_cells_match_their_definition(self, B):
         cells = brute_cells(B)
-        assert list(T._cells(B)) == [cell[:5] for cell in cells]
+        walk = [(v1, v2, y1, y2, m) for v1, v2, y1, m, y2_cap in T._groups(B)
+                for y2 in T._y2s(v2 * y1, y2_cap)]
+        assert walk == [cell[:5] for cell in cells]
         # the roots the kernels look up per group
         assert all(roots == tuple(sqrts_minus_one(m)) for *_, m, roots in cells)
 
@@ -296,6 +327,33 @@ class TestPartialSum:
     ])
     def test_main_term_partial_sum(self, B, total):
         assert T.main_term_partial_sum(B) == total
+
+    def test_group_factors_once_per_group(self, monkeypatch):
+        """euler_phi(v1 v2 y1), is_squarefree(v2) and eta(v2 y1^2) are
+        taken once per group of the walk; only phi(y2) is taken per cell."""
+        B = 10**5
+        groups = list(T._groups(B))
+        cells = sum(len(T._y2s(v2 * y1, y2_cap)) for _, v2, y1, _, y2_cap in groups)
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(n):
+                calls[module.__name__, name] += 1
+                return fn(n)
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((A, "is_squarefree"), (A, "sqrt_minus_one_count"),
+                             (T, "euler_phi"), (A, "euler_phi")):
+            count(module, name)
+        assert T.main_term_partial_sum(B) == 103.4547206350975
+        assert calls == {
+            ("delpezzo.arith", "is_squarefree"): len(groups),
+            ("delpezzo.arith", "sqrt_minus_one_count"): len(groups),
+            ("delpezzo.torsor", "euler_phi"): len(groups),  # of v1 v2 y1
+            ("delpezzo.arith", "euler_phi"): cells,  # of y2
+        }
 
 
 def scalar_points(B, v1, v2, y1, y2, y0s):

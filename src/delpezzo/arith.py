@@ -548,18 +548,19 @@ def _dint_direct_batch(C: np.ndarray) -> np.ndarray:
     valid for 1 <= C <= crossover + 1, the reach of the table of F.
 
     x-space form: dint = int_0^1 I(Cx) 4x^3 (1-x^4)^(-1/2) dx with kinks at
-    j/C.  The head pieces [j/C, (j+1)/C] run up to the split xs = (C-1)/C
-    (at C = 1, which has no kink, a single head piece [0, 0.6]); the last
-    piece [xs, 1] is regularized by x = (1-w^2)^(1/4), w in [0, sqrt(1-xs^4)].
-    Every piece is 20-point Gauss-Legendre.
+    j/C.  The head pieces [j/C, (j+1)/C] run up to the split
+    xs = max((C-1)/C, 3/4); the last piece [xs, 1] is regularized by
+    x = (1-w^2)^(1/4), w in [0, sqrt(1-xs^4)], whose branch point w = 1 the
+    split 3/4 keeps a fifth of the piece's length past its end.  Every piece
+    is 20-point Gauss-Legendre.
     """
-    n = np.maximum(C, 2)  # pieces per C: the head pieces, then the tail
+    n = C + (C < 4)  # pieces per C: the head pieces, then the tail
     starts = np.cumsum(n) - n
     k = np.repeat(np.arange(len(C)), n)  # the C each piece belongs to
     j = np.arange(len(k)) - starts[k]  # index of the piece within its C
     Ck = C[k]
     tail = j == n[k] - 1
-    xs = np.where(C == 1, 0.6, (C - 1) / C)[k]
+    xs = np.maximum((C - 1) / C, 0.75)[k]
     a = np.where(tail, 0.0, j / Ck)
     b = np.where(tail, np.sqrt(1 - xs**4), np.minimum((j + 1) / Ck, xs))
     half = 0.5 * (b - a)

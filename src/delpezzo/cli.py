@@ -33,7 +33,6 @@ EXIT_VERIFY = 2
 EXIT_CAP = 3
 
 MIN_PRIME_CUTOFF = 100  # the Euler products of constants and zeta reject less
-MIN_QUAD_TOL = 1e-14  # the quadratures of constants reject less (double precision)
 # --threads, DELPEZZO_THREADS and the usable CPUs are capped here: each worker
 # is a forked process, and more than this would only exhaust process ids
 MAX_THREADS = 256
@@ -107,8 +106,6 @@ _grid = _checked(lambda text: sorted(_int_list(text)), lambda g: not g or g[0] >
                  "a comma-separated list of integers >= 1")
 # the Euler factors, computed at every s, converge only for s > -1/4
 _s_value = _checked(float, lambda s: math.isfinite(s) and s > -0.25, "finite and > -1/4")
-_quad_tol = _checked(float, lambda t: math.isfinite(t) and t >= MIN_QUAD_TOL,
-                     f"finite and >= {MIN_QUAD_TOL:g}")
 
 
 def _writable_file(path: str) -> bool:
@@ -147,7 +144,6 @@ def parse_args(argv) -> argparse.Namespace:
 
     p = command("constants", _cmd_constants, "compute the full constant bundle")
     p.add_argument("--prime-cutoff", type=_int_at_least(MIN_PRIME_CUTOFF), default=10**6)
-    p.add_argument("--quad-tol", type=_quad_tol, default=1e-12)
     p.add_argument("--beta-cutoff", type=_int_at_least(1), default=100)
 
     p = command("densities", _cmd_densities, "modular solution densities vs closed form")
@@ -313,7 +309,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> tuple[int, list[dict]]:
 def _cmd_constants(cfg: argparse.Namespace) -> tuple[int, list[dict]]:
     from .constants import constant_bundle
 
-    b = constant_bundle(cfg.prime_cutoff, cfg.quad_tol, cfg.beta_cutoff)
+    b = constant_bundle(cfg.prime_cutoff, cfg.beta_cutoff)
     row = dict(vars(b))  # a copy: the bundle is frozen
     row["alpha"] = str(b.alpha)
     return EXIT_OK, [row]

@@ -17,14 +17,6 @@ class SizeCapError(DelPezzoError):
     """A bound exceeds the documented cap for the requested operation."""
 
 
-class ToleranceError(DelPezzoError):
-    """A quadrature or series evaluation failed to reach the requested tolerance."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class DataIntegrityError(DelPezzoError):
     """A hard-coded data table failed one of its consistency identities."""
 

@@ -210,11 +210,13 @@ def _coprime_mask(n: int) -> tuple[int, np.ndarray]:
     return r, mask
 
 
-def _isqrt(n: np.ndarray) -> np.ndarray:
-    """Exact floor square roots of an int64 array with values in [0, 10^18]:
-    the float root is off by at most one there, so one correction step each
-    way makes it exact."""
+def _isqrt(n: np.ndarray, top: int = 10**18) -> np.ndarray:
+    """Exact floor square roots of an int64 array with values in [0, top <= 10^18]:
+    below 2^52 the float root floors exactly, as sqrt(s^2 - 1) lies 1/(2s) below
+    s, farther than s 2^-53; above, one correction step each way makes it exact."""
     s = np.sqrt(n).astype(np.int64)
+    if top < 2**52:
+        return s
     r = n - s * s
     s -= r < 0
     s += r > 2 * s  # n >= (s + 1)^2
@@ -228,6 +230,20 @@ def _mod(a: np.ndarray, r: int) -> np.ndarray:
     so this takes about half the time of ``a % r``.  (By an array of moduli,
     ``%`` is the faster.)"""
     return a - a // r * r
+
+
+def _rows(B: int, primes, m: int, y2s):
+    """(y0, rows): the y0 >= 1 prime to ``primes`` with y0^4 y2^2 < B m for the
+    first y2 of the ascending int64 array ``y2s``, and rows[j] the number of
+    them, the first ones, that hold it for the j-th."""
+    lim = B * m
+    keep = np.ones(isqrt(isqrt((lim - 1) // y2s[0]**2)), dtype=bool)
+    for p in primes:
+        keep[p - 1::p] = False
+    y0 = keep.nonzero()[0] + 1
+    if len(y2s) == 1:
+        return y0, np.array(y0.shape)
+    return y0, (y0**4).searchsorted((lim - 1) // (y2s * y2s), side="right")
 
 
 def _progressions(B: int, primes, m: int, roots, y2s):
@@ -249,21 +265,14 @@ def _progressions(B: int, primes, m: int, roots, y2s):
     0 <= k < K, and rho w = start + t m; ``kept`` lists the kept roots,
     and t, start and K have one row per kept root and one column per y0 row.
     """
-    lim = B * m
-    keep = np.ones(isqrt(isqrt((lim - 1) // y2s[0]**2)), dtype=bool)
-    for p in primes:
-        keep[p - 1::p] = False
-    y0 = keep.nonzero()[0] + 1
-    if len(y2s) > 1:  # the rows of a cell: the first rows with y0^4 <= (lim - 1) // y2^2
-        y2 = np.array(y2s)
-        rows = (y0**4).searchsorted((lim - 1) // (y2 * y2), side="right")
+    lim, y2 = B * m, np.array(y2s)
+    y0, rows = _rows(B, primes, m, y2)
+    if len(y2s) > 1:
         y0 = y0.take(np.arange(rows.sum()) - (rows.cumsum() - rows).repeat(rows))
-        w = y0 * y0 * y2.repeat(rows)
-    else:
-        rows, w = np.array(y0.shape), y0 * (y0 * y2s[0])
+    w = y0 * y0 * y2.repeat(rows)
     # w^2 + y3^2 = m y4, and y3 = rho w (mod m); one row per kept root, so
     # that the arrays of a row broadcast along the last axis
-    Y3 = _isqrt(lim - w * w)  # >= 1, as w^2 < lim
+    Y3 = _isqrt(lim - w * w, lim)  # >= 1, as w^2 < lim
     kept = [r for r in roots if m <= 2 or 2 * r < m]
     rw = np.multiply.outer(kept, w)
     t = (rw + Y3) // m if m > 2 else (rw - 1) // m
@@ -333,6 +342,22 @@ def _divisor_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, d[order], mu[order]
 
 
+@lru_cache(maxsize=1)
+def _cell_weights(n: int) -> tuple[list, list]:
+    """The sums of 2^omega(j) / sqrt(j) (2^omega(j) squarefree d | j) and of
+    1 / sqrt(j) over j in [1, J], as lists indexed by J in [0, n]."""
+    first, j = _divisor_table(n)[0], np.arange(n + 1)
+    root = np.sqrt(np.maximum(j, 1))
+    return np.cumsum(np.diff(first) / root).tolist(), np.cumsum((j > 0) / root).tolist()
+
+
+def _class_count(p: int, m: int) -> int:
+    """The number of classes of k that a prime p of v1 v2 excludes (``_y4_classes``)."""
+    if p % 4 == 3 or p == 2 and m % 2 == 0:
+        return 0
+    return 1 if m % p == 0 or p == 2 else 2
+
+
 def _y4_classes(primes, m: int, y2s, kept, t, w):
     """The classes of k that gcd(y4, v1 v2) = 1 excludes from the
     progressions of ``_progressions``, as [(p, E, alive), ...], where
@@ -360,7 +385,7 @@ def _y4_classes(primes, m: int, y2s, kept, t, w):
     """
     out = []
     for p in primes:
-        if p % 4 == 3 or p == 2 and m % 2 == 0:  # the primes with no class
+        if not _class_count(p, m):
             continue
         alive = None if all(y2 % p for y2 in y2s) else np.array(y2s) % p != 0
         if m % p == 0:
@@ -382,7 +407,42 @@ def _merge(p: int, E, C, Q, u):
     return C + Q * _mod((E[:, None] + p - _mod(C, p)) * u, p)
 
 
+def _cell_slices(B: int, primes, classed, m: int, roots, y2s) -> list:
+    """``y2s`` cut into consecutive slices of at most _BLOCK terms of
+    ``_slice_counts`` plus one cell's, counted before any is built, so that
+    its memory stays bounded whatever B.  A cell with R rows has
+    R (L 2^omega(y2) - 1) terms per kept root: one per choice of classes of
+    the primes of v1 v2 (``classed``; L choices) and squarefree d | y2, less
+    the one added as the sum of K.  As R < (B m)^(1/4) / sqrt(y2), the sums
+    of ``_cell_weights`` bound a group's terms at once, and only past _BLOCK
+    are its rows counted: at 10^8 in 444 of the 3,314 groups, 183 of which
+    are cut, the first, (1, 1, 1), in 5; at 10^7 only the first, in 2."""
+    if len(y2s) == 1:
+        return [y2s]
+    kept = len(roots) if m <= 2 else len(roots) // 2
+    L = prod(1 + _class_count(p, m) for p in classed)
+    sqfree, ones = _cell_weights(isqrt(B))
+    lo, hi = y2s[0] - 1, y2s[-1]
+    if kept * (B * m) ** 0.25 * (L * (sqfree[hi] - sqfree[lo]) - ones[hi] + ones[lo]) <= _BLOCK:
+        return [y2s]
+    first = _divisor_table(isqrt(B))[0]
+    y2 = np.array(y2s)
+    T = kept * _rows(B, primes, m, y2)[1] * (L * (first[y2 + 1] - first[y2]) - 1)
+    bid = (np.cumsum(T) - T) // _BLOCK
+    cuts = (np.flatnonzero(bid[1:] != bid[:-1]) + 1).tolist()
+    return [y2s[a:b] for a, b in zip([0, *cuts], [*cuts, len(y2s)])]
+
+
 def _cell_counts(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s) -> int:
+    """The number of points in the cells (v1, v2, y1, y2), y2 in ``y2s``,
+    counted by ``_slice_counts`` in the slices of ``_cell_slices``."""
+    primes = list(factorize(v1 * v2 * y1))
+    classed = [p for p in primes if v1 * v2 % p == 0]
+    return sum(_slice_counts(B, primes, classed, m, roots, part)
+               for part in _cell_slices(B, primes, classed, m, roots, y2s))
+
+
+def _slice_counts(B: int, primes, classed, m: int, roots, y2s) -> int:
     """The number of points in the cells (v1, v2, y1, y2), y2 in ``y2s``, together.
 
     Counts the k in [0, K) of every progression y3 = s + k m of
@@ -401,10 +461,9 @@ def _cell_counts(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s) -> int:
     of d = 1 (c = e, Q = q) have one entry per progression; those of d > 1
     (Q = d q) run by root, then by cell, then by d, then by y0 row.
     """
-    primes = list(factorize(v1 * v2 * y1))
     rows, _, w, kept, t, _, K = _progressions(B, primes, m, roots, y2s)
     total = int(K.sum())
-    classes = _y4_classes([p for p in primes if v1 * v2 % p == 0], m, y2s, kept, t, w)
+    classes = _y4_classes(classed, m, y2s, kept, t, w)
     some_d = y2s[-1] > 1  # a divisor d > 1 of some y2, as y2s ascend
     if not (classes or some_d):
         return total
@@ -549,8 +608,8 @@ def count_torsor(B: int, workers: Optional[int] = None) -> int:
     # so dealing them out in turn evens the shares (at B = 10^7 the first half
     # of the 1,145 groups takes 55-56% of the time, and each of 2 shares
     # 49-51%).  A child counts the first group, (1, 1, 1), whose arrays are
-    # the largest (a tracemalloc peak of 1.8 MB at 10^7).
-    _divisor_table(isqrt(max(B, 0)))  # built before the fork, so every child inherits them
+    # the largest (a tracemalloc peak of 1.3 MB at 10^7, in two slices).
+    _cell_weights(isqrt(max(B, 0)))  # built before the fork, so every child inherits them
     _spf_table()
     return _count_forked(B, [groups[i::workers] for i in range(workers)])
 

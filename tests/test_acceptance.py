@@ -134,11 +134,11 @@ def test_criterion_3_local_densities():
 
 def test_criterion_4_constants():
     alpha = C.peyre_alpha()
-    c, c_err = C.real_density_integral(1e-12)
+    c, c_err = C.real_density_integral()
     oracle = C.real_density_beta_oracle()
     tau4, tail4 = C.tamagawa_euler_product(10**4)
     tau6, _ = C.tamagawa_euler_product(10**6)
-    om, _ = C.archimedean_density(1e-12)
+    om, _ = C.archimedean_density()
     lead = C.leading_coefficient(c, tau6)
     peyre = float(alpha) * C.tamagawa_measure(om, tau6)
     ok = (

@@ -46,7 +46,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("argv, expected", [
         (["verify"], {"suite": "all", "bmax": 1000}),
-        (["constants"], {"prime_cutoff": 10**6, "quad_tol": 1e-12, "beta_cutoff": 100}),
+        (["constants"], {"prime_cutoff": 10**6, "beta_cutoff": 100}),
         (["densities"], {"primes": [2, 3, 5, 7], "rmax": 2, "mode": "tables"}),
         (["zeta"], {"s": 2.0, "primes": [2, 3, 5], "prime_cutoff": 10**5}),
         (["decompose"], {"grid": [1000, 10000, 100000], "beta_cutoff": 100}),
@@ -129,10 +129,7 @@ class TestExitCodes:
         ["zeta", "--p", "2,9"],
         ["zeta", "--s", "-1"],
         ["zeta", "--s", "nan"],
-        ["constants", "--quad-tol", "nan"],
-        ["constants", "--quad-tol", "-1"],
-        ["constants", "--quad-tol", "1e-15"],
-        ["constants", "--quad-tol", "inf"],
+        ["constants", "--quad-tol", "1e-10"],  # not an option of constants
         ["decompose", "--prime-cutoff", "1000"],  # not an option of decompose
         ["decompose", "--beta-cutoff", "0"],
         ["decompose", "--grid", "0"],
@@ -143,6 +140,9 @@ class TestExitCodes:
         ["zeta", "--p", str(2**1279 - 1)],  # a prime past the float range
         ["densities", "--p", str(2**1279 - 1)],
         ["densities", "--mode", "auto"],  # the table count, now its default
+        ["count", "--bmax", "0"],
+        ["densities", "--rmax", "0"],
+        ["zeta", "--s", "inf"],
     ])
     def test_domain_errors_are_usage_errors(self, args, capsys):
         assert cli.main(args) == cli.EXIT_USAGE

@@ -402,6 +402,12 @@ class TestKernel:
         for d in (-1, 0, 1):
             n = k * k + d
             assert T._isqrt(n).tolist() == [isqrt(int(v)) for v in n]
+        # below 2^52 the float root alone, up to the largest square below
+        k = np.array([1, 2, 3, 2**25, 2**26 - 3, 2**26 - 1], dtype=np.int64)
+        for d in (-1, 0, 1):
+            n = k * k + d
+            assert n.max() < 2**52
+            assert T._isqrt(n, 2**52 - 1).tolist() == [isqrt(int(v)) for v in n]
 
 
 def oracle_counts(B, v1, v2, y1, m, roots, y2s):
@@ -494,6 +500,39 @@ class TestFloorSums:
             got = [T._cell_counts(B, v1, v2, y1, m, roots, [y2]) for y2 in y2s]
             assert got == want, (v1, v2, y1)
             assert T._cell_counts(B, v1, v2, y1, m, roots, y2s) == sum(want), (v1, v2, y1)
+
+    def test_groups_in_slices_at_1e5(self, monkeypatch):
+        """With slices of at most 64 terms plus one cell's, 34 groups are
+        cut, and the counts stay exact."""
+        monkeypatch.setattr(T, "_BLOCK", 64)
+        B, cut = 10**5, 0
+        for v1, v2, y1, m, y2_cap in T._groups(B):
+            primes = list(factorize(v1 * v2 * y1))
+            classed = [p for p in primes if v1 * v2 % p == 0]
+            y2s = T._y2s(v2 * y1, y2_cap)
+            parts = T._cell_slices(B, primes, classed, m, tuple(sqrts_minus_one(m)), y2s)
+            assert [y2 for part in parts for y2 in part] == y2s and all(parts)
+            cut += len(parts) > 1
+        assert cut >= 30
+        assert T.count_torsor(B, workers=1) == T.count_torsor(B, workers=2) == 479470
+
+    def test_first_group_memory_is_bounded(self):
+        """The first group at 10^8, (1, 1, 1) with 10^4 cells, peaked at
+        5.98 MB under tracemalloc when it was counted in one pass; in its
+        slices it peaks at 1.47 MB (1.31 MB at 10^7, 1.63 MB at 10^9)."""
+        tracemalloc = pytest.importorskip("tracemalloc")
+        B = 10**8
+        v1, v2, y1, m, y2_cap = next(T._groups(B))
+        roots, y2s = tuple(sqrts_minus_one(m)), T._y2s(v2 * y1, y2_cap)
+        T._cell_weights(isqrt(B))  # the tables, as count_torsor builds them first
+        tracemalloc.start()
+        try:
+            n = T._cell_counts(B, v1, v2, y1, m, roots, y2s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 78048010
+        assert peak < 2_000_000
 
     def test_single_cell_groups_at_1e6(self):
         """Every group whose only cell is y2 = 1, so that no d > 1 divides

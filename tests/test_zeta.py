@@ -201,7 +201,7 @@ class TestResidualProduct:
         h0 = Z.residual_product_at_zero(10**4)
         g1, _ = Z.leading_factor_at_one(h0)
         e2 = Z.correction_zeta_product(1.0).value
-        c, _ = C.real_density_integral(1e-12)
+        c, _ = C.real_density_integral()
         assert abs(g1 * e2 - 16 * c * h0[0]) <= 1e-9
 
     def test_cutoff_cap(self, monkeypatch):

@@ -25,6 +25,8 @@ _SPF_LIMIT = 1 << 16
 # below this bound every prime <= isqrt(n) is below _SPF_LIMIT, so factorize
 # finds all of them with one vectorized remainder
 _TRIAL_LIMIT = _SPF_LIMIT * _SPF_LIMIT
+# is_prime is a proof below this bound (Sorenson and Webster, Math. Comp. 86 (2017))
+_PRIME_PROOF_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 @cache
@@ -107,17 +109,21 @@ def factorize(n: int) -> dict[int, int]:
         if n > 1:
             out[n] = 1
         return out
-    # trial division by 6k +- 1 beyond the sieve's reach
+    # trial division by 6k +- 1 beyond the sieve's reach, which stops as
+    # soon as the cofactor is 1 or a proven prime
     for p in (2, 3):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
     d = 5
-    while d * d <= n:
+    done = n < _PRIME_PROOF_LIMIT and is_prime(n)
+    while not done and d * d <= n:
         for q in (d, d + 2):
-            while n % q == 0:
-                out[q] = out.get(q, 0) + 1
-                n //= q
+            if n % q == 0:
+                while n % q == 0:
+                    out[q] = out.get(q, 0) + 1
+                    n //= q
+                done = n < _PRIME_PROOF_LIMIT and is_prime(n)
         d += 6
     if n > 1:
         out[n] = out.get(n, 0) + 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
-from .arith import chi, primes_up_to
+from .arith import chi, primes_up_to, sqrt_minus_one_count
 from .errors import DataIntegrityError, SizeCapError
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,6 @@ def tau_factor_exact(p: int) -> Fraction:
 
 NAIVE_DENSITY_CAP = 10**8
 FAST_DENSITY_CAP = 10**7
-_ROOT_SCAN_BLOCK = 1 << 20
 
 
 def _density_count_naive(p: int, r: int) -> int:
@@ -193,18 +192,18 @@ def _density_count_naive(p: int, r: int) -> int:
     return count
 
 
-def _square_root_count(c: int, m: int) -> int:
-    """#{t mod m : t^2 = c (mod m)} by a blockwise scan (m^2 < 2^63)."""
-    n = 0
-    for lo in range(0, m, _ROOT_SCAN_BLOCK):
-        t = np.arange(lo, min(lo + _ROOT_SCAN_BLOCK, m), dtype=np.int64)
-        n += int(np.count_nonzero((t * t - c) % m == 0))
-    return n
+def _roots_of_minus_square(p: int, v: int, w: int) -> int:
+    """#{x mod p^w : x^2 = -p^(2v)}.  For 2v >= w that is x^2 = 0, true
+    exactly when v_p(x) >= w/2: p^(w // 2) roots.  For 2v < w, x = p^v u
+    with u^2 = -1 (mod p^(w-2v)), and each of its eta(p^(w-2v)) roots
+    lifts to p^v residues u mod p^(w-v): p^v eta(p^(w-2v)) roots."""
+    if 2 * v >= w:
+        return p ** (w // 2)
+    return p**v * sqrt_minus_one_count(p ** (w - 2 * v))
 
 
 def _density_count_tables(p: int, r: int) -> int:
-    """Exact count by valuation classes in O(r^2 p^r) time; square roots
-    are scanned in blocks, so memory does not grow with p^r.
+    """Exact count by valuation classes in O(r^2) integer steps.
 
     Both forms are homogeneous quadrics, so x -> lambda x (lambda a unit)
     maps solutions to solutions and the fibre over x0 depends only on
@@ -213,28 +212,18 @@ def _density_count_tables(p: int, r: int) -> int:
     sum over x1 of #{x2 : x2^2 = x0 x1} * #{(x3, x4) : x3^2 + x0^2 = x1 x4},
     and for w = v_p(x1) the second factor is q * #{x3 mod p^w : x3^2 = -x0^2}.
     Summing the first factor over p^w | x1 gives p^(r-w) * #{x2 mod p^s :
-    p^s | x2^2} with s = min(v + w, r); differences of consecutive w isolate
-    v_p(x1) = w exactly.  Products and sums are Python ints: N(p^r) passes
-    2^63 already at p^r = 7^8.
+    p^s | x2^2} = p^(r-w) p^(s // 2) with s = min(v + w, r); differences of
+    consecutive w isolate v_p(x1) = w exactly.  Products and sums are Python
+    ints: N(p^r) passes 2^63 already at p^r = 7^8.
     """
     q = p**r
-    roots: dict[tuple[int, int], int] = {}
-
-    def root_count(c: int, w: int) -> int:
-        m = p**w
-        key = (c % m, m)
-        if key not in roots:
-            roots[key] = _square_root_count(*key)
-        return roots[key]
-
     total = 0
     for v in range(r + 1):
         weight = p ** (r - v) - p ** (r - v - 1) if v < r else 1
         # x1-sums of the x2 count over p^w | x1, for w = 0..r, then 0
-        divisible = [p ** (r - w) * root_count(0, min(v + w, r)) for w in range(r + 1)]
-        divisible.append(0)
+        divisible = [p ** (r - w + min(v + w, r) // 2) for w in range(r + 1)] + [0]
         fibre = sum(
-            root_count(-(p ** (2 * v)), w) * (divisible[w] - divisible[w + 1])
+            _roots_of_minus_square(p, v, w) * (divisible[w] - divisible[w + 1])
             for w in range(r + 1)
         )
         total += weight * q * fibre
@@ -246,7 +235,7 @@ def local_density_brute(p: int, r: int, mode: str = "tables") -> Fraction:
     modulo p^r solving both forms.
 
     ``mode``: 'tables' counts by valuation classes of (x0, x1) in
-    O(r^2 p^r) time (cap p^r <= 10^7); 'naive' scans all p^(5r) tuples
+    O(r^2) integer steps (cap p^r <= 10^7); 'naive' scans all p^(5r) tuples
     (cap 10^8) and is the oracle of 'tables'.
     """
     if r < 1:

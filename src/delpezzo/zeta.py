@@ -27,6 +27,7 @@ _BERNOULLI = tuple(float(b) for b in BERNOULLI[2::2])
 # Target error of each Euler-Maclaurin evaluation; the certified bound of
 # the result is reported whether or not it is met.
 _SERIES_TOL = 1e-13
+_EM_ORDER = 6  # Bernoulli correction terms in each Euler-Maclaurin tail
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class SeriesEval:
     error: float
 
 
-def _hurwitz_tail_terms(s: float, Na: float, J: int):
+def _hurwitz_tail_terms(s: float, Na: float):
     """Bernoulli correction terms and the first-omitted-term bound for
     sum_{n >= N} (n+a)^(-s) handled by Euler-Maclaurin."""
     power = Na ** (-s - 1)
@@ -44,12 +45,23 @@ def _hurwitz_tail_terms(s: float, Na: float, J: int):
         return [], 0.0
     terms = []
     poch = s  # s (s+1) ... ascending
-    for j in range(1, J + 1):
+    for j in range(1, _EM_ORDER + 1):
         terms.append(_BERNOULLI[j - 1] / math.factorial(2 * j) * poch * power)
         poch *= (s + 2 * j - 1) * (s + 2 * j)
         power /= Na * Na
-    bound = abs(_BERNOULLI[J] / math.factorial(2 * J + 2) * poch * power * Na * Na)
+    bound = abs(_BERNOULLI[_EM_ORDER] / math.factorial(2 * _EM_ORDER + 2) * poch * power * Na * Na)
     return terms, bound
+
+
+def _tails(s: float, offsets):
+    """The first N in 16, 32, ..., 512 whose tails on the bases N + a, a in
+    ``offsets``, have bounds summing to at most _SERIES_TOL / 2 (else 512),
+    with the (terms, bound) of each base."""
+    for N in (16, 32, 64, 128, 256, 512):
+        tails = [_hurwitz_tail_terms(s, N + a) for a in offsets]
+        if sum(bound for _, bound in tails) <= _SERIES_TOL / 2:
+            break
+    return N, tails
 
 
 def zeta_real(s: float) -> SeriesEval:
@@ -60,15 +72,10 @@ def zeta_real(s: float) -> SeriesEval:
     """
     if s <= 1:
         raise DelPezzoError("zeta_real requires s > 1")
-    J = 6
-    for N in (16, 32, 64, 128, 256, 512):
-        Na = N + 1.0
-        _, bound = _hurwitz_tail_terms(s, Na, J)
-        if bound <= _SERIES_TOL / 2:
-            break
+    N, [(terms, bound)] = _tails(s, (1.0,))
+    Na = N + 1.0
     head = sum((n + 1.0) ** (-s) for n in range(N))
     mid = Na ** (1 - s) / (s - 1) + 0.5 * Na ** (-s)
-    terms, bound = _hurwitz_tail_terms(s, Na, J)
     return SeriesEval(s, head + mid + sum(terms), bound + 1e-15)
 
 
@@ -84,12 +91,7 @@ def l_chi_real(s: float) -> SeriesEval:
     """
     if s <= 0:
         raise DelPezzoError("l_chi_real requires s > 0")
-    J = 6
-    for N in (16, 32, 64, 128, 256, 512):
-        _, b1 = _hurwitz_tail_terms(s, N + 0.25, J)
-        _, b2 = _hurwitz_tail_terms(s, N + 0.75, J)
-        if b1 + b2 <= _SERIES_TOL / 2:
-            break
+    N, [(t1, b1), (t2, b2)] = _tails(s, (0.25, 0.75))
     head = sum((4 * n + 1) ** (-s) - (4 * n + 3) ** (-s) for n in range(N))
     na, nb = N + 0.25, N + 0.75
     gap = math.log1p(0.5 / na)  # log(nb / na), exact to rounding
@@ -98,8 +100,6 @@ def l_chi_real(s: float) -> SeriesEval:
     else:
         pole_diff = -na ** (1 - s) * math.expm1((1 - s) * gap) / (s - 1)
     mid = pole_diff + 0.5 * (na ** (-s) - nb ** (-s))
-    t1, b1 = _hurwitz_tail_terms(s, na, J)
-    t2, b2 = _hurwitz_tail_terms(s, nb, J)
     val = head + 4.0 ** (-s) * (mid + sum(t1) - sum(t2))
     return SeriesEval(s, val, 4.0 ** (-s) * (b1 + b2) + 1e-15)
 

@@ -95,7 +95,7 @@ N_7_8 = 244_791_274_105_888_245_925  # N(7^8), past 2^63
 
 def test_criterion_3_local_densities():
     """The exact modular counts confirm the closed form omega_p at
-    p = 2, 3, 5, 7.
+    p = 2, 3, 5, 7, 11, 13.
 
     The truncations d_r = N(p^r)/p^(3r) reach omega_p only like p^(-r/6),
     and not monotonically, so the stated tolerance 0.08 at (p, r_max) is out
@@ -104,7 +104,8 @@ def test_criterion_3_local_densities():
     the factor in T^2, the D4 point [0:0:0:0:1] the factor in T^6.  Hence,
     with d_0 = 1, for r >= 8
         (1 - 1/p)^2 omega_p = d_r - d_{r-2}/p - d_{r-6}/p + d_{r-8}/p^2,
-    asserted here at r = 8 as an exact equality of rationals.
+    asserted here as an exact equality of rationals at every r from 8 to 40,
+    through the table count, which has no cap of its own.
     """
     assert C.local_density_closed(2) == Fraction(5, 2)
     assert C.local_density_closed(3) == Fraction(16, 9)
@@ -113,21 +114,22 @@ def test_criterion_3_local_densities():
     failures = []
     details = []
     for (p, rmax), expected in STATED_DEPTH_DENSITIES.items():
-        closed = C.local_density_closed(p)
-        d = {r: C.local_density_brute(p, r) for r in (2, 6, 8, rmax)}
-        d[0] = Fraction(1)
-        if d[rmax] != expected:
-            failures.append((p, rmax, d[rmax], expected))
-        lhs = (1 - Fraction(1, p)) ** 2 * closed
-        rhs = d[8] - d[6] / p - d[2] / p + d[0] / p**2
-        if lhs != rhs:
-            failures.append((p, "depth-8 identity", lhs, rhs))
-        if p == 7 and d[8] * p**24 != N_7_8:
-            failures.append((p, "N(7^8)", d[8] * p**24))
-        details.append(f"p={p}: err(r_max)={abs(float(d[rmax] - closed)):.3f}")
+        d_rmax = C.local_density_brute(p, rmax)
+        if d_rmax != expected:
+            failures.append((p, rmax, d_rmax, expected))
+        details.append(f"p={p}: err(r_max)={abs(float(d_rmax - C.local_density_closed(p))):.3f}")
+    if C.local_density_brute(7, 8) * 7**24 != N_7_8:
+        failures.append((7, "N(7^8)", C.local_density_brute(7, 8) * 7**24))
+    for p in (2, 3, 5, 7, 11, 13):
+        d = [Fraction(1)] + [Fraction(C._density_count_tables(p, r), p ** (3 * r)) for r in range(1, 41)]
+        lhs = (1 - Fraction(1, p)) ** 2 * C.local_density_closed(p)
+        for r in range(8, 41):
+            rhs = d[r] - d[r - 2] / p - d[r - 6] / p + d[r - 8] / p**2
+            if lhs != rhs:
+                failures.append((p, r, "identity", lhs, rhs))
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 600
-    report(3, ok, "; ".join(details) + f"; depth-8 identity exact ({elapsed:.1f}s)")
+    report(3, ok, "; ".join(details) + f"; identity exact for r = 8..40, p <= 13 ({elapsed:.1f}s)")
     assert elapsed < 600
     assert not failures, failures
 

@@ -83,6 +83,23 @@ class TestProfiles:
         for n in ns[-300:]:
             assert A.factorize(n) == trial_division(n)
 
+    def test_factorize_stops_at_a_prime_cofactor(self, rng):
+        # n >= 2^32 from known primes: the small ones below 1000, and one
+        # large one up to 2^61 - 1 that trial division to its square root
+        # would take minutes to reach
+        small = A.primes_up_to(1000).tolist()
+        large = [65537, 2**31 - 1, 2**32 + 15, 10**9 + 7, 10**12 + 39, 10**18 + 9, 2**61 - 1]
+        for _ in range(300):
+            fac = {p: rng.randint(1, 3) for p in rng.sample(small, rng.randint(0, 4))}
+            big = rng.choice(large)
+            fac[big] = rng.randint(1, 2) if big < 2**17 else 1
+            n = math.prod(p**e for p, e in fac.items())
+            if n < 2**32:
+                fac[2] = fac.get(2, 0) + 33 - n.bit_length()
+                n = math.prod(p**e for p, e in fac.items())
+            got = A.factorize(n)
+            assert list(got.items()) == sorted(fac.items()), n
+
     def test_primes_up_to(self):
         import tracemalloc
 

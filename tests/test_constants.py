@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,18 @@ class TestEulerProduct:
             assert C.tamagawa_euler_product(cutoff)[0] == total, cutoff
 
 
+def searched_root_count(c, p, w):
+    """#{x mod p^w : x^2 = c (mod p^w)} by exhaustive search.  Every root
+    mod p^j reduces to a root mod p^(j-1), so checking the p residues
+    x + k p^(j-1) over the roots x found mod p^(j-1) finds all of them: a
+    residue scan that skips only the residues already ruled out below."""
+    roots = np.zeros(1, dtype=np.int64)  # every x is a root mod p^0 = 1
+    for j in range(1, w + 1):
+        x = (roots[:, None] + p ** (j - 1) * np.arange(p)[None, :]).ravel()
+        roots = x[(x * x - c) % p**j == 0]
+    return len(roots)
+
+
 class TestLocalDensities:
     def test_closed_values(self):
         assert C.local_density_closed(2) == Fraction(5, 2)
@@ -129,6 +142,20 @@ class TestLocalDensities:
         assert all(v <= closed for v in vals)
         assert all(a <= b for a, b in zip(vals[0::2], vals[2::2]))
         assert all(a <= b for a, b in zip(vals[1::2], vals[3::2]))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_root_counts_against_a_search(self, p):
+        for w in range(9):
+            assert C._roots_of_minus_square(p, w, w) == searched_root_count(0, p, w), (p, w)
+            for v in range(6):
+                got = C._roots_of_minus_square(p, v, w)
+                assert got == searched_root_count(-p ** (2 * v), p, w), (p, v, w)
+
+    def test_tables_scan_no_residues(self):
+        # O(r^2) integer steps, where a scan of the 2^23 residues takes seconds
+        t0 = time.perf_counter()
+        assert C.local_density_brute(2, 23) == Fraction(19, 8)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_caps(self):
         with pytest.raises(SizeCapError):

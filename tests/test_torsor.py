@@ -1,4 +1,5 @@
 import os
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
@@ -29,6 +30,14 @@ class TestValidate:
         with pytest.raises(TorsorValidationError) as exc:
             T.validate((1, 1, 1, 1, 1, 1, 3))
         assert exc.value.failures == ["equation"]
+
+    def test_equation_failure_with_a_large_prime_v2(self):
+        # is_squarefree(2^61 - 1) stops at its prime cofactor, not at 2^30.5
+        t0 = time.perf_counter()
+        with pytest.raises(TorsorValidationError) as exc:
+            T.validate((1, 2**61 - 1, 1, 1, 1, 1, 1))
+        assert exc.value.failures == ["equation"]
+        assert time.perf_counter() - t0 < 1
 
     def test_coprimality_failure_named(self):
         # y0 = y1 = 2 shares a factor; adjust y4 so the equation holds:

@@ -22,11 +22,9 @@ from .errors import DelPezzoError, SizeCapError
 # sieve and factorization
 
 _SPF_LIMIT = 1 << 16
-# below this bound every prime <= isqrt(n) is below _SPF_LIMIT, so factorize
-# finds all of them with one vectorized remainder
-_TRIAL_LIMIT = _SPF_LIMIT * _SPF_LIMIT
-# is_prime is a proof below this bound (Sorenson and Webster, Math. Comp. 86 (2017))
+# the least strong pseudoprime to all 13 bases (Sorenson and Webster, Math. Comp. 86 (2017))
 _PRIME_PROOF_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @cache
@@ -81,70 +79,59 @@ def _base_pair_lists(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of ``n >= 1`` as ``{prime: exponent}``, primes ascending."""
+    """Prime factorization of ``n >= 1`` as ``{prime: exponent}``, primes ascending.
+
+    Below 2^16 the smallest-prime-factor table walks n down.  Above, one
+    remainder over the sieve's primes <= min(isqrt(n), 2^16) divides them
+    out, and ``_cofactor_primes`` splits the rest or raises SizeCapError.
+    """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
-    out: dict[int, int] = {}
+    spf, primes = _spf_table()
+    found = []  # the primes of n with multiplicity, ascending
     if n < _SPF_LIMIT:
-        spf, _ = _spf_table()
         while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
-        return out
-    if n < _TRIAL_LIMIT:
-        # one remainder over the sieve's primes <= isqrt(n); what is left
-        # after dividing them out has no factor <= sqrt(n), so it is 1 or prime
-        _, primes = _spf_table()
+            found.append(int(spf[n]))
+            n //= found[-1]
+    else:
         ps = primes[: np.searchsorted(primes, isqrt(n), "right")]
-        for p in ps[n % ps == 0].tolist():
-            e = 0
+        # numpy's remainder takes n as an int64
+        for p in ps[n % ps == 0].tolist() if n < 1 << 63 else ps.tolist():
             while n % p == 0:
+                found.append(p)
                 n //= p
-                e += 1
-            out[p] = e
-        if n > 1:
-            out[n] = 1
-        return out
-    # trial division by 6k +- 1 beyond the sieve's reach, which stops as
-    # soon as the cofactor is 1 or a proven prime
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 5
-    done = n < _PRIME_PROOF_LIMIT and is_prime(n)
-    while not done and d * d <= n:
-        for q in (d, d + 2):
-            if n % q == 0:
-                while n % q == 0:
-                    out[q] = out.get(q, 0) + 1
-                    n //= q
-                done = n < _PRIME_PROOF_LIMIT and is_prime(n)
-        d += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+        found += sorted(_cofactor_primes(n))
+    out: dict[int, int] = {}
+    for p in found:
+        out[p] = out.get(p, 0) + 1
     return out
 
 
-def is_prime(n: int) -> bool:
-    """Primality by Miller-Rabin over the primes up to 41 as bases, which
-    is deterministic for n < 3.3 * 10^24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    if n < 2:
-        return False
-    if n in bases:
-        return True
-    if any(n % a == 0 for a in bases):
-        return False
+def _cofactor_primes(n: int) -> list[int]:
+    """The primes of ``n``, with multiplicity, where no prime p < 2^16 with
+    p^2 <= n divides n.  Raises SizeCapError for an n >= ``_PRIME_PROOF_LIMIT``
+    that Miller-Rabin neither proves prime nor composite."""
+    if n < _SPF_LIMIT * _SPF_LIMIT:
+        return [n] if n > 1 else []  # no prime <= sqrt(n), so n is 1 or prime
+    r = isqrt(n)
+    if r * r == n:
+        return _cofactor_primes(r) * 2
+    if _proven_composite(n):
+        d = _pollard_brent(n)
+        return _cofactor_primes(d) + _cofactor_primes(n // d)
+    if n < _PRIME_PROOF_LIMIT:
+        return [n]
+    raise SizeCapError(f"factorize can neither prove {n} prime (only below 3.3e24) nor composite")
+
+
+def _proven_composite(n: int) -> bool:
+    """True when a base witnesses by Miller-Rabin that ``n`` (>= 2, not a base)
+    is composite; False proves n prime only below ``_PRIME_PROOF_LIMIT``."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in bases:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -153,8 +140,36 @@ def is_prime(n: int) -> bool:
             if x == n - 1:
                 break
         else:
-            return False
-    return True
+            return True
+    return False
+
+
+def _pollard_brent(n: int) -> int:
+    """A divisor 1 < d < n of the odd composite ``n`` by Pollard's rho with
+    Brent's cycle search (Brent, BIT 20 (1980)): y -> y^2 + c from y = 2,
+    compared with the y at each power of two of the steps."""
+    c = 0
+    while True:
+        c += 1
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                if (g := gcd(x - y, n)) != 1:
+                    break
+            r *= 2
+        if g != n:  # else the cycle closed modulo n itself: try the next c
+            return g
+
+
+def is_prime(n: int) -> bool:
+    """Primality by Miller-Rabin over the primes up to 41 as bases, which is
+    a proof for n < ``_PRIME_PROOF_LIMIT`` (3.3 * 10^24).  Raises ValueError
+    for larger n, where the test proves only that a number is composite."""
+    if n >= _PRIME_PROOF_LIMIT:
+        raise ValueError(f"is_prime is a proof only below {_PRIME_PROOF_LIMIT}")
+    return n >= 2 and (n in _MR_BASES or not _proven_composite(n))
 
 
 def chi(n: int) -> int:
@@ -232,20 +247,6 @@ def _tonelli_sqrt_minus_one(p: int) -> int:
     return r
 
 
-def _lift_sqrt_minus_one(p: int, e: int) -> int:
-    """Hensel lift of a root of x^2 + 1 from mod p to mod p^e (p odd)."""
-    r = _tonelli_sqrt_minus_one(p)
-    pk = p
-    while pk < p ** e:
-        pk2 = min(pk * pk, p ** e)
-        # Newton step: r <- r - (r^2+1) / (2r) mod pk2
-        inv = pow((2 * r) % pk2, -1, pk2)
-        r = (r - (r * r + 1) * inv) % pk2
-        pk = pk2
-    assert (r * r + 1) % p ** e == 0
-    return r
-
-
 def sqrts_minus_one(q: int) -> list[int]:
     """Sorted list of every r in [1, q] with ``r^2 = -1 (mod q)``."""
     if q < 1:
@@ -263,17 +264,13 @@ def sqrts_minus_one(q: int) -> list[int]:
         elif p % 4 == 3:
             return []
         else:
-            r = _lift_sqrt_minus_one(p, e)
+            # a root t mod p has t^2 = -1 + xp, and (1 + yp)^(p^(e-1)) = 1
+            # (mod p^e) for odd p, so t^(p^(e-1)) squares to -1 (mod p^e)
+            r = pow(_tonelli_sqrt_minus_one(p), p ** (e - 1), pe)
             local = [r, pe - r]
-        # CRT merge
-        inv = pow(modulus, -1, pe)  # the prime powers are coprime
-        new = []
-        for x in roots:
-            for y in local:
-                # solve z = x (mod modulus), z = y (mod pe)
-                t = ((y - x) * inv) % pe
-                new.append(x + modulus * t)
-        roots = new
+        # CRT merge: z = x (mod modulus) and z = y (mod pe), coprime moduli
+        inv = pow(modulus, -1, pe)
+        roots = [x + modulus * ((y - x) * inv % pe) for x in roots for y in local]
         modulus *= pe
     roots = sorted(roots)  # none is 0, as q > 1
     for r in roots:

@@ -98,10 +98,9 @@ def _all_prime(ps: list[int]) -> bool:
     return all(is_prime(p) for p in ps)
 
 
-# an Euler factor takes its prime through a float, so no prime may pass the largest one
-_primes = _checked(_int_list,
-                   lambda ps: all(p <= sys.float_info.max for p in ps) and _all_prime(ps),
-                   "a comma-separated list of primes, each at most the largest float (1.8e308)")
+# is_prime raises ValueError from 3.3e24 on, where it would only guess
+_primes = _checked(_int_list, _all_prime,
+                   "a comma-separated list of primes below 3.3e24, where primality is proven")
 _grid = _checked(lambda text: sorted(_int_list(text)), lambda g: not g or g[0] >= 1,
                  "a comma-separated list of integers >= 1")
 # the Euler factors, computed at every s, converge only for s > -1/4

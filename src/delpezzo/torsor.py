@@ -18,8 +18,8 @@ coefficients Delta(n) share the walk.  A cell needs a root of -1 modulo
 m = v2 y1^2: v2 squarefree and y1 odd, neither with a prime = 3 (mod 4),
 which one sieve to isqrt(B) lists (``arith._base_pair_lists``; the beta
 box of ``arith.linear_term_constant`` takes its pairs from it too).  The
-parallel count deals every W-th group to each of W shares, and the roots of
--1 mod m are looked up once per group.  With w = y0^2 y2 the equation reads
+parallel count deals every W-th group to each of W shares; a share finds the
+roots of -1 mod m once per m.  With w = y0^2 y2 the equation reads
 w^2 + y3^2 = m y4, so y3 = rho w (mod m) for a root rho, and each pair
 rho, m - rho gives one progression y3 = rho w + (k - t) m, 0 <= k < K, over
 -Y3 <= y3 <= Y3 (``_progressions``).  Every coprimality condition on y3

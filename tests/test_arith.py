@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from math import gcd, pi
@@ -19,6 +20,10 @@ from delpezzo.errors import DelPezzoError, SizeCapError
 def brute_eta(q):
     r = np.arange(1, q + 1, dtype=np.int64)
     return int(np.count_nonzero((r * r + 1) % q == 0))
+
+
+# the least strong pseudoprime to the 13 bases of is_prime
+PSI_13 = 3317044064679887385961981
 
 
 def trial_division(n):
@@ -64,6 +69,12 @@ class TestProfiles:
         assert not A.is_prime(3215031751)
         assert not A.is_prime(318665857834031151167461)
         assert A.is_prime(2**61 - 1) and A.is_prime(10**18 + 9)
+        assert A.is_prime(PSI_13 - 168)  # the largest prime below the proof limit
+        # psi_13 = 1287836182261 * 2575672364521 passes all 13 bases, so the
+        # test answers nothing from it on
+        for n in (PSI_13, PSI_13 + 2, 10**30 + 57):
+            with pytest.raises(ValueError):
+                A.is_prime(n)
 
     @pytest.mark.parametrize("n", [
         2**16, 65521 * 65519, 65521**2, 2**32 - 5, 2**32 - 1,  # 2^32-5: the largest prime
@@ -83,22 +94,74 @@ class TestProfiles:
         for n in ns[-300:]:
             assert A.factorize(n) == trial_division(n)
 
+    def test_factorize_matches_trial_division_to_2_40(self, rng):
+        # trial division by the primes up to 2^20 factors every n < 2^40: what
+        # is left has no prime <= its square root.  The n are log-uniform, and
+        # products of two numbers from [2^16, 2^20), whose cofactor past the
+        # sieve is often composite or a square
+        primes = A.primes_up_to(2**20)
+
+        def reference(n):
+            out = {}
+            ps = primes[: np.searchsorted(primes, math.isqrt(n), "right")]
+            for p in ps[n % ps == 0].tolist():
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
+            return out | ({n: 1} if n > 1 else {})
+
+        ns = [rng.randrange(2 ** (b - 1), 2**b) for b in range(17, 41) for _ in range(90)]
+        ns += [rng.randrange(2**16, 2**20) * rng.randrange(2**16, 2**20) for _ in range(1000)]
+        ns += [rng.randrange(2**16, 2**20) ** 2 for _ in range(100)]
+        for n in ns:
+            assert list(A.factorize(n).items()) == sorted(reference(n).items()), n
+
     def test_factorize_stops_at_a_prime_cofactor(self, rng):
-        # n >= 2^32 from known primes: the small ones below 1000, and one
-        # large one up to 2^61 - 1 that trial division to its square root
-        # would take minutes to reach
+        # n up to 2^128 from known primes: the small ones below 1000, a large
+        # one, squared at times, that trial division to its square root would
+        # take minutes to reach, and at times a second from [2^16, 2^20],
+        # which the rho step splits off in about 1000 steps
         small = A.primes_up_to(1000).tolist()
-        large = [65537, 2**31 - 1, 2**32 + 15, 10**9 + 7, 10**12 + 39, 10**18 + 9, 2**61 - 1]
-        for _ in range(300):
+        large = [65537, 2**31 - 1, 2**32 + 15, 2**38 - 45, 10**9 + 7, 10**12 + 39,
+                 10**18 + 9, 2**61 - 1]
+        second = [65539, 2**17 - 1, 1000003, 2**20 - 3]
+        cases = 0
+        while cases < 300:
             fac = {p: rng.randint(1, 3) for p in rng.sample(small, rng.randint(0, 4))}
-            big = rng.choice(large)
-            fac[big] = rng.randint(1, 2) if big < 2**17 else 1
+            fac[rng.choice(large)] = rng.randint(1, 2)
+            if rng.random() < 0.3:
+                fac.setdefault(rng.choice(second), 1)
             n = math.prod(p**e for p, e in fac.items())
             if n < 2**32:
                 fac[2] = fac.get(2, 0) + 33 - n.bit_length()
                 n = math.prod(p**e for p, e in fac.items())
-            got = A.factorize(n)
-            assert list(got.items()) == sorted(fac.items()), n
+            if n >= 2**128:
+                continue
+            cases += 1
+            assert list(A.factorize(n).items()) == sorted(fac.items()), n
+        # products of two primes between 2^30 and 2^40, n >= 2^63, and two n
+        # on which rho's first sequence meets itself modulo n and a second runs
+        for fac in ({2**30 + 3: 1, 2**40 - 87: 1}, {2**31 - 1: 1, 2**39 - 7: 1},
+                    {2**32 - 5: 1, 2**36 - 5: 1}, {2**33 - 9: 1, 2**34 - 41: 1},
+                    {2**31 - 1: 1, 2**61 - 1: 1}, {2**31 - 1: 3}, {2**61 - 1: 2},
+                    {3: 1, 2**32 - 5: 2, 2**61 - 1: 1}, {PSI_13 - 168: 1, 2**20 - 3: 2},
+                    {65537: 3}, {65837: 1, 66029: 1}):
+            n = math.prod(p**e for p, e in fac.items())
+            assert A.factorize(n) == fac, n
+
+    def test_factorize_past_trial_division(self):
+        # trial division by 6k +- 1 did not find this square of a prime above
+        # 2^32 within a minute
+        t0 = time.perf_counter()
+        assert A.factorize(12 * 7 * (2**61 - 1) ** 2) == {2: 2, 3: 1, 7: 1, 2**61 - 1: 2}
+        assert time.perf_counter() - t0 < 1
+        # a cofactor at the proof limit that no base shows composite: psi_13,
+        # and the prime 10^30 + 57
+        for n in (PSI_13, 10**30 + 57, 5 * (10**30 + 57)):
+            t0 = time.perf_counter()
+            with pytest.raises(SizeCapError):
+                A.factorize(n)
+            assert time.perf_counter() - t0 < 1
 
     def test_primes_up_to(self):
         import tracemalloc
@@ -147,6 +210,30 @@ class TestSqrtMinusOne:
         q = 5**6
         for r in A.sqrts_minus_one(q):
             assert (r * r + 1) % q == 0
+
+    def test_walk_moduli(self):
+        # each of the 626 moduli m of the counter's walk at 10^7: distinct
+        # roots in [1, m] that square to -1, eta(m) of them, are all of them
+        moduli = list(dict.fromkeys(g[3] for g in T._groups(10**7)))
+        assert len(moduli) == 626
+        for m in moduli:
+            roots = A.sqrts_minus_one(m)
+            assert roots == sorted(set(roots)) and 1 <= roots[0] and roots[-1] <= m
+            assert all((r * r + 1) % m == 0 for r in roots)
+            assert len(roots) == A.sqrt_minus_one_count(m), m
+
+    def test_prime_powers_match_a_residue_scan(self):
+        # the roots mod p come from a scan of the p residues, and each root
+        # mod p^k from a scan of its p candidate lifts r + t p^k to p^(k+1)
+        for p in [p for p in A.primes_up_to(2000).tolist() if p % 4 == 1]:
+            pk, roots = p, [r for r in range(p) if (r * r + 1) % p == 0]
+            for e in range(1, 7):
+                assert A.sqrts_minus_one(pk) == sorted(roots), (p, e)
+                if e < 6:
+                    lifts = [[r + t * pk for t in range(p) if ((r + t * pk) ** 2 + 1) % (pk * p) == 0]
+                             for r in roots]
+                    assert [len(lift) for lift in lifts] == [1, 1]
+                    roots, pk = [lift[0] for lift in lifts], pk * p
 
     def test_cell_moduli_match_brute_force(self):
         # the moduli v2 y1^2 of the density weights: 4 | v2, even y1 and

@@ -101,8 +101,11 @@ class TestExitCodes:
         assert run_cli(["count", "--bmax", "100", "--method", "naive"]).returncode == 3
 
     def test_densities_cap(self):
-        # 101^4 is past the table count's cap on p^r
-        assert run_cli(["densities", "--p", "101", "--rmax", "4"]).returncode == 3
+        # the table count's cap is p^r <= 2^160: the largest prime below 2^80
+        # passes it at r = 2 and not at r = 3
+        p = str(2**80 - 65)
+        assert run_cli(["densities", "--p", p, "--rmax", "2", "--no-timestamp"]).returncode == 0
+        assert run_cli(["densities", "--p", p, "--rmax", "3"]).returncode == 3
 
     @pytest.mark.parametrize("args", [
         ["constants", "--prime-cutoff", "1000", "--beta-cutoff", "401"],
@@ -137,7 +140,7 @@ class TestExitCodes:
         ["count", "--bmax", "10", "--threads", "-2"],
         ["count", "--bmax", "10", "--threads", "257"],  # one past MAX_THREADS
         ["count", "--bmax", "10", "--threads", "100000"],
-        ["zeta", "--p", str(2**1279 - 1)],  # a prime past the float range
+        ["zeta", "--p", str(2**1279 - 1)],  # a prime past the proof limit
         ["densities", "--p", str(2**1279 - 1)],
         ["densities", "--mode", "auto"],  # the table count, now its default
         ["count", "--bmax", "0"],
@@ -227,16 +230,21 @@ class TestExitCodes:
         rows = {r["check"]: r["pass"] for r in json.loads(capsys.readouterr().out)["rows"]}
         assert rows == {"count_equality": True, "round_trip": False, "sign_identities": True}
 
-    def test_largest_prime_in_the_float_range(self, capsys):
-        from delpezzo.arith import is_prime
+    def test_largest_proven_prime(self, capsys):
+        # is_prime is a proof below psi_13 = 3317044064679887385961981, the
+        # least strong pseudoprime to its 13 bases, and answers nothing from it on
+        from delpezzo.arith import _PRIME_PROOF_LIMIT, is_prime
 
-        p = int(sys.float_info.max)
+        p = _PRIME_PROOF_LIMIT - 1
         while not is_prime(p):
             p -= 1
         assert cli.main(["zeta", "--p", str(p), "--prime-cutoff", "100",
                          "--no-timestamp"]) == cli.EXIT_OK
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert {r["name"]: r["value"] for r in rows}[f"euler_factor_p{p}"] == 1.0
+        assert cli.main(["zeta", "--p", str(_PRIME_PROOF_LIMIT), "--no-timestamp"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
 
     def test_out_is_checked_on_the_file_itself_when_it_exists(self, tmp_path, monkeypatch, capsys):
         # an existing file is written whatever its directory allows, and is

@@ -160,9 +160,10 @@ class TestLocalDensities:
     def test_caps(self):
         with pytest.raises(SizeCapError):
             C.local_density_brute(7, 2, mode="naive")
-        # 101^4 > FAST_DENSITY_CAP = 10^7 >= 101^3
+        # FAST_DENSITY_CAP = 2^160; the density at 2 nears 5/2 from below
+        assert 0 < Fraction(5, 2) - C.local_density_brute(2, 160) < Fraction(1, 2**25)
         with pytest.raises(SizeCapError):
-            C.local_density_brute(101, 4, mode="tables")
+            C.local_density_brute(2, 161, mode="tables")
 
 
 class TestLattice:

@@ -306,11 +306,6 @@ def picard_lattice_checks() -> dict:
     return report
 
 
-def intersection_pairing(a, b) -> int:
-    M = np.array(INTERSECTION_MATRIX, dtype=np.int64)
-    return int(np.array(a) @ M @ np.array(b))
-
-
 # ---------------------------------------------------------------------------
 # the assembled bundle
 
@@ -345,7 +340,7 @@ class ConstantBundle:
     beta_cutoff: int
 
 
-def constant_bundle(prime_cutoff: int = 10**6, beta_cutoff: int = 100) -> ConstantBundle:
+def constant_bundle(prime_cutoff: int, beta_cutoff: int) -> ConstantBundle:
     """Compute every constant with propagated error estimates.
 
     Cross-identity enforced: omega_inf = 16 c within the two quadratures'

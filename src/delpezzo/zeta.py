@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import BERNOULLI, chi, linear_term_constant, main_term_coefficient, primes_up_to
+from .arith import BERNOULLI, chi, linear_term_constant
 from .constants import euler_primes, ordered_product, real_density_integral
 from .errors import DelPezzoError, SizeCapError
 
@@ -191,25 +191,6 @@ def euler_factor(p: int, s: float) -> float:
     )
 
 
-def euler_product_truncated(s: float, prime_cutoff: int) -> float:
-    """prod_{p <= cutoff} euler_factor(p, s), ascending and deterministic."""
-    total = 1.0
-    for p in primes_up_to(prime_cutoff):
-        total *= euler_factor(int(p), s)
-    return total
-
-
-def dirichlet_sum_truncated(s: float, n_max: int) -> float:
-    """sum_{n <= n_max} Delta(n) / n^(s + 1/4): the direct-series side of the
-    Euler-product identity at shifted argument s + 1/4."""
-    total = 0.0
-    for n in range(1, n_max + 1):
-        d = main_term_coefficient(n)
-        if d:
-            total += d / n ** (s + 0.25)
-    return total
-
-
 def _residual_factors(p: np.ndarray) -> np.ndarray:
     """The factors of H(0) at a float64 array of odd primes, each rounded as
     the scalar float expression would be."""
@@ -221,7 +202,7 @@ def _residual_factors(p: np.ndarray) -> np.ndarray:
     )
 
 
-def residual_product_at_zero(prime_cutoff: int = 10**6) -> tuple[float, float]:
+def residual_product_at_zero(prime_cutoff: int) -> tuple[float, float]:
     """H(0) = (5/2^5) prod_{p > 2} (1-1/p)^4 (1-chi/p)^2 (1 + (4+2chi)/p + 1/p^2).
 
     Equals the finite Tamagawa product (chi^2 = 1 collapses the factors for
@@ -258,7 +239,8 @@ def leading_factor_at_one(residual: tuple[float, float]) -> tuple[float, float]:
 def count_decomposition(
     grid,
     workers: Optional[int] = None,
-    beta_cutoff: int = 100,
+    *,
+    beta_cutoff: int,
 ) -> list[dict]:
     """Exact-count decomposition rows for each bound B in ``grid``.
 

@@ -163,6 +163,24 @@ class TestProfiles:
                 A.factorize(n)
             assert time.perf_counter() - t0 < 1
 
+    def test_rho_step_limit(self, monkeypatch):
+        # with the limit low, factorize gives up at once
+        monkeypatch.setattr(A, "_RHO_STEPS", 10)
+        for n in ((2**31 - 1) * (2**32 + 15), (2**31 - 1) ** 3):
+            t0 = time.perf_counter()
+            with pytest.raises(SizeCapError):
+                A.factorize(n)
+            assert time.perf_counter() - t0 < 1
+        # the steps of every c count together: rho's first c meets itself
+        # modulo 65837 * 66029 at step 443, and the second c splits it at
+        # step 922 of both
+        n = 65837 * 66029
+        monkeypatch.setattr(A, "_RHO_STEPS", 921)
+        with pytest.raises(SizeCapError):
+            A.factorize(n)
+        monkeypatch.setattr(A, "_RHO_STEPS", 922)
+        assert A.factorize(n) == {65837: 1, 66029: 1}
+
     def test_primes_up_to(self):
         import tracemalloc
 
@@ -667,7 +685,7 @@ class TestDoubleIntegral:
         # at 257 and 1000, plus one ulp of 1, rounded up
         mp = pytest.importorskip("mpmath")
         want = oracle_dint(C, mp)
-        assert abs(A.fractional_part_double_integral(C) - float(want)) <= tol
+        assert abs(A.warm_dint_cache([C])[0] - float(want)) <= tol
 
     def test_quadrature_tables_are_leggauss(self):
         for (x, w), n in (((A._GL_X, A._GL_W), 20), ((_GL12_X, _GL12_W), 12)):
@@ -703,7 +721,7 @@ class TestDoubleIntegral:
     def test_analytic_value_at_one(self):
         c = math.gamma(1.25) * math.gamma(0.5) / (2 * math.gamma(1.75))
         # 1.1e-15 measured, the rounding of 4c - pi^3/12 included
-        assert abs(A.fractional_part_double_integral(1) - (4 * c - pi**3 / 12)) <= 2e-15
+        assert abs(A.warm_dint_cache([1])[0] - (4 * c - pi**3 / 12)) <= 2e-15
 
     def test_em_matches_direct_on_overlap(self):
         # both paths are defined from C = 48 up to the crossover; the
@@ -713,7 +731,7 @@ class TestDoubleIntegral:
         assert diff.max() <= 4e-15, Cs[diff.argmax()]
 
     def test_values_approach_one(self):
-        vals = [A.fractional_part_double_integral(C) for C in (10, 100, 1000, 10000)]
+        vals = A.warm_dint_cache([10, 100, 1000, 10000]).tolist()
         assert all(abs(v - 1) < 0.05 for v in vals[1:])
         assert abs(vals[-1] - 1) < abs(vals[0] - 1)
 
@@ -913,25 +931,23 @@ class TestErrors:
         with pytest.raises(ValueError):
             A.best_rational_approx(0, 5, 2)
         with pytest.raises((ValueError, DelPezzoError)):
-            A.fractional_part_double_integral(0)
+            A.warm_dint_cache([0])
 
     def test_dint_needs_an_integer(self):
         # past 2^53 the float64 C of the formulas is no longer the integer C
         # (from about 10^18 they gave nan); 2^63 makes the array uint64,
         # which a cast to int64 would wrap
         for bad in (2.5, 0, -3, "7", 2**53 + 1, 10**18, 2**63 - 1, 2**63):
-            with pytest.raises(ValueError):
-                A.fractional_part_double_integral(bad)
-            with pytest.raises(ValueError):
-                A.warm_dint_cache([5, bad])
-        assert A.fractional_part_double_integral(np.int64(3)) == A.fractional_part_double_integral(3)
-        assert A.warm_dint_cache(np.array([4, 300]))[1] == A.fractional_part_double_integral(300)
+            for values in ([bad], [5, bad]):
+                with pytest.raises(ValueError):
+                    A.warm_dint_cache(values)
+        assert A.warm_dint_cache(np.array([4, 300]))[1] == A.warm_dint_cache([np.int64(300)])[0]
 
     def test_dint_at_the_float_limit(self):
         # the largest C: no "divide by zero" or "invalid value" warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert A.fractional_part_double_integral(2**53) == 1.0
+            assert A.warm_dint_cache([2**53])[0] == 1.0
             assert A.warm_dint_cache([5, 2**53])[1] == 1.0
 
     @pytest.mark.parametrize("call,error", [

@@ -90,6 +90,31 @@ class TestParsing:
             cli.parse_args(["count", "--bmax", "10"])
 
 
+class TestDefaultCutoffs:
+    def test_defaults_reach_the_library(self, monkeypatch, capsys):
+        # the library sets no default cutoffs; the CLI's reach it unchanged
+        from delpezzo import constants, zeta
+
+        calls = {}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def record(*args, **kwargs):
+                calls[name] = args, kwargs
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, record)
+
+        spy(constants, "constant_bundle")
+        spy(zeta, "residual_product_at_zero")
+        spy(zeta, "count_decomposition")
+        for argv in (["constants"], ["zeta"], ["decompose", "--grid="]):
+            assert cli.main([*argv, "--no-timestamp"]) == 0, argv
+        assert calls["constant_bundle"] == ((10**6, 100), {})
+        assert calls["residual_product_at_zero"] == ((10**5,), {})
+        assert calls["count_decomposition"][1]["beta_cutoff"] == 100
+
+
 class TestExitCodes:
     def test_success(self):
         assert run_cli(["count", "--bmax", "100", "--no-timestamp"]).returncode == 0

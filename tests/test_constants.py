@@ -175,12 +175,13 @@ class TestLattice:
         assert rep["picard_rank"] == 4
 
     def test_pairing_examples(self):
-        e1 = (1, 0, 0, 0, 0, 0)
-        e2 = (0, 1, 0, 0, 0, 0)
-        assert C.intersection_pairing(e1, e2) == 1
-        assert C.intersection_pairing(e1, e1) == -2
-        K = C.ANTICANONICAL
-        assert C.intersection_pairing(K, K) == 4
+        M = np.array(C.INTERSECTION_MATRIX)
+        e1 = np.array((1, 0, 0, 0, 0, 0))
+        e2 = np.array((0, 1, 0, 0, 0, 0))
+        assert e1 @ M @ e2 == 1
+        assert e1 @ M @ e1 == -2
+        K = np.array(C.ANTICANONICAL)
+        assert K @ M @ K == 4
 
 
 class TestBundle:

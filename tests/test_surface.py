@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +138,19 @@ class TestOracle:
     def test_cap(self):
         with pytest.raises(SizeCapError):
             S.count_positive_oracle(10**4 + 1)
+
+    def test_shares_no_code_with_the_counter(self):
+        # the oracles are independent of delpezzo.torsor: in a fresh
+        # interpreter they load only these modules of the package
+        probe = (
+            "import json, sys\n"
+            "from delpezzo import surface as S\n"
+            "S.count_positive_oracle(2000), S.count_naive(10), S.count_degenerate(10**6)\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('delpezzo.'))))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["delpezzo.arith", "delpezzo.errors", "delpezzo.surface"]
 
 
 class TestDegenerate:

@@ -159,8 +159,16 @@ class TestEulerFactors:
             Z.euler_factor(3, -0.3)
 
     def test_product_matches_dirichlet_sum(self):
-        coarse = abs(Z.euler_product_truncated(2.0, 30) - Z.dirichlet_sum_truncated(2.0, 300))
-        fine = abs(Z.euler_product_truncated(2.0, 200) - Z.dirichlet_sum_truncated(2.0, 4000))
+        # at s = 2: prod_{p <= cutoff} euler_factor(p, s) against
+        # sum_{n <= n_max} Delta(n) / n^(s + 1/4)
+        def product(cutoff):
+            return math.prod(Z.euler_factor(p, 2.0) for p in A.primes_up_to(cutoff).tolist())
+
+        def series(n_max):
+            return sum(A.main_term_coefficient(n) / n ** 2.25 for n in range(1, n_max + 1))
+
+        coarse = abs(product(30) - series(300))
+        fine = abs(product(200) - series(4000))
         assert fine <= 1e-6
         assert fine < coarse
 
@@ -231,4 +239,4 @@ class TestDecomposition:
 
     def test_cap_propagates(self):
         with pytest.raises(SizeCapError):
-            Z.count_decomposition([10**9 + 1])
+            Z.count_decomposition([10**9 + 1], beta_cutoff=100)

@@ -19,18 +19,19 @@ m = v2 y1^2: v2 squarefree and y1 odd, neither with a prime = 3 (mod 4),
 which one sieve to isqrt(B) lists (``arith._base_pair_lists``; the beta
 box of ``arith.linear_term_constant`` takes its pairs from it too).  The
 parallel count deals every W-th group to each of W shares; a share finds the
-roots of -1 mod m once per m.  With w = y0^2 y2 the equation reads
-w^2 + y3^2 = m y4, so y3 = rho w (mod m) for a root rho, and each pair
-rho, m - rho gives one progression y3 = rho w + (k - t) m, 0 <= k < K, over
--Y3 <= y3 <= Y3 (``_progressions``).  Every coprimality condition on y3
-and y4 is a congruence on k, so the counter visits no candidate: it counts each
+roots of -1 mod m once per m, and prepares each group once for both kernels
+(``_prepare``).  With w = y0^2 y2 the equation reads w^2 + y3^2 = m y4, so
+y3 = rho w (mod m) for a root rho, and each pair rho, m - rho gives one
+progression y3 = rho w + (k - t) m, 0 <= k < K, over -Y3 <= y3 <= Y3
+(``_progressions``).  Every coprimality condition on y3 and y4 is a
+congruence on k, so the counter visits no candidate: it counts each
 progression by floor sums, a Mobius sum over the squarefree d | y2
 (k = t mod d) from one divisor table per count, less one or two classes
-k = t + a + b w (mod p) per prime p of v1 v2, a and b fixed by p and rho,
-merged by the CRT into k = c (mod Q), which holds (K - c + Q - 1) // Q of
-the k.  The term of d = 1 with no class holds all K of the k, so it is
-added as the sum of K and never built (58% of the terms at B = 10^7 and
-10^8).  One numpy pass counts all cells of a group and returns their exact
+k = t + a + b w (mod p) per prime p of v1 v2, a and b fixed by p and rho
+and found once per group, merged by the CRT into k = c (mod Q), which holds
+(K - c + Q - 1) // Q of the k.  The term of d = 1 with no class holds all K
+of the k, so it is added as the sum of K and never built (58% of the terms
+at B = 10^7 and 10^8).  One numpy pass counts all cells of a group and returns their exact
 total.  The enumeration kernel ``_cell_blocks``, the counter's oracle, lays
 a cell's progressions out in blocks of about 2^14 candidates and tests both
 conditions by lookup in masks over rad(y2) and rad(v1 v2).
@@ -43,6 +44,7 @@ import operator
 import os
 import signal
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,19 +81,23 @@ class TorsorPoint:
 def validate(t) -> TorsorPoint:
     """Check all membership conditions; failures are reported by name.  A
     coordinate that is not an integer (int or numpy integer) fails
-    "integrality" before any other condition is checked."""
+    "integrality" before any other condition is checked.  A v2 that cannot be
+    factored raises its SizeCapError only if no other condition fails."""
     try:
         v1, v2, y0, y1, y2, y3, y4 = map(operator.index, t)
     except TypeError:
         raise TorsorValidationError(["integrality"]) from None
-    failures = []
+    failures, undecided = [], None
     if min(v1, v2, y0, y1, y2, y3, y4) < 1:
         failures.append("positivity")
     else:
         if y0**4 * y2**2 - v2 * y1**2 * y4 + y3**2 != 0:
             failures.append("equation")
-        if not is_squarefree(v2):
-            failures.append("squarefree")
+        try:
+            if not is_squarefree(v2):
+                failures.append("squarefree")
+        except SizeCapError as exc:
+            undecided = exc
         if (
             gcd(y0, v1 * v2 * y1) != 1
             or gcd(y3, y1 * y2) != 1
@@ -99,8 +105,8 @@ def validate(t) -> TorsorPoint:
             or gcd(y2, v2 * y1) != 1
         ):
             failures.append("coprimality")
-    if failures:
-        raise TorsorValidationError(failures)
+    if failures or undecided:
+        raise TorsorValidationError(failures) if failures else undecided
     return TorsorPoint(v1, v2, y0, y1, y2, y3, y4)
 
 
@@ -200,9 +206,8 @@ assert TORSOR_CAP * isqrt(TORSOR_CAP) + 2 * TORSOR_CAP + 1 < 2**63
 assert 729 * 24 * TORSOR_CAP < 2**63
 
 
-def _coprime_mask(n: int) -> tuple[int, np.ndarray]:
-    """(r, mask): r = rad(n), and mask[j] is true iff gcd(j, n) = 1 (0 <= j < r)."""
-    primes = factorize(n)
+def _coprime_mask(primes) -> tuple[int, np.ndarray]:
+    """(r, mask): r = prod(primes), and mask[j] is true iff j is prime to r (0 <= j < r)."""
     r = prod(primes)
     mask = np.ones(r, dtype=bool)
     for p in primes:
@@ -232,6 +237,31 @@ def _mod(a: np.ndarray, r: int) -> np.ndarray:
     return a - a // r * r
 
 
+def _runs(T) -> list[tuple[int, int]]:
+    """The runs [a, b) that cut the counts T, in order, into blocks of whole
+    entries: a block opens where the running count before an entry passes a
+    multiple of _BLOCK (read at call time), so it holds at most _BLOCK plus
+    one entry's count, the bound the headroom asserts above rely on."""
+    bid = (np.cumsum(T) - T) // _BLOCK
+    cuts = (np.flatnonzero(bid[1:] != bid[:-1]) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(T)]))
+
+
+_Group = namedtuple("_Group", "m primes classed kept")
+
+
+def _prepare(v1: int, v2: int, y1: int, m: int, roots) -> _Group:
+    """The group (v1, v2, y1) as both kernels use it, once for all its cells:
+    m = v2 y1^2, the primes of v1 v2 y1, those of v1 v2 (classed, as
+    gcd(y4, v1 v2) = 1 excludes classes of k for them) and the kept roots of
+    -1 mod m, from ``roots``.  For m > 2 the roots pair up as rho, m - rho,
+    which y3 -> -y3 swaps while it keeps every condition, so the rho with
+    2 rho < m is kept for both; for m <= 2 the single root is kept."""
+    primes = list(factorize(v1 * v2 * y1))
+    return _Group(m, primes, [p for p in primes if v1 * v2 % p == 0],
+                  [r for r in roots if m <= 2 or 2 * r < m])
+
+
 def _rows(B: int, primes, m: int, y2s):
     """(y0, rows): the y0 >= 1 prime to ``primes`` with y0^4 y2^2 < B m for the
     first y2 of the ascending int64 array ``y2s``, and rows[j] the number of
@@ -246,85 +276,70 @@ def _rows(B: int, primes, m: int, y2s):
     return y0, (y0**4).searchsorted((lim - 1) // (y2s * y2s), side="right")
 
 
-def _progressions(B: int, primes, m: int, roots, y2s):
-    """The progressions of the cells (v1, v2, y1, y2), y2 in ``y2s``
-    ascending, where ``primes`` are the primes of v1 v2 y1:
-    (rows, y0, w, kept, t, start, K).
+def _progressions(B: int, g: _Group, y2s):
+    """The progressions of the cells (v1, v2, y1, y2) of the group g, y2 in
+    ``y2s`` ascending: (rows, y0, w, t, start, K).
 
     The rows of a cell are the y0 with gcd(y0, v1 v2 y1) = 1 and
     w^2 < lim = B m, where w = y0^2 y2; rows[j] counts those of the j-th
     cell, and y0, w, t, start and K hold the rows of every cell, cell
     after cell.  In a row the y3 are the 1 <= y3 <= Y3 = isqrt(lim - w^2)
-    with y3 = rho w (mod m) for a root rho in ``roots``.  For m > 2 the
-    roots come in pairs rho, m - rho, and y3 -> -y3 swaps their classes
-    while it keeps the equation and every coprimality condition: so one
-    rho of each pair, the one with 2 rho < m, stands for both, and its
-    progression runs over -Y3 <= y3 <= Y3, where y3 = 0 never lies, as rho w
-    is a unit mod m.  For m <= 2 the single root is its own negative and
-    its progression runs over 1 <= y3 <= Y3.  Each is y3 = start + k m,
-    0 <= k < K, and rho w = start + t m; ``kept`` lists the kept roots,
-    and t, start and K have one row per kept root and one column per y0 row.
+    with y3 = rho w (mod m) for a root rho of -1.  The progression of a kept
+    root (``_prepare``) runs over -Y3 <= y3 <= Y3 for m > 2, standing for its
+    pair (y3 = 0 never lies there, as rho w is a unit mod m), and over
+    1 <= y3 <= Y3 for m <= 2.  Each is y3 = start + k m, 0 <= k < K, and
+    rho w = start + t m; t, start and K have a row per kept root and a column per y0 row.
     """
-    lim, y2 = B * m, np.array(y2s)
-    y0, rows = _rows(B, primes, m, y2)
+    lim, m, y2 = B * g.m, g.m, np.array(y2s)
+    y0, rows = _rows(B, g.primes, m, y2)
     if len(y2s) > 1:
         y0 = y0.take(np.arange(rows.sum()) - (rows.cumsum() - rows).repeat(rows))
     w = y0 * y0 * y2.repeat(rows)
     # w^2 + y3^2 = m y4, and y3 = rho w (mod m); one row per kept root, so
     # that the arrays of a row broadcast along the last axis
     Y3 = _isqrt(lim - w * w, lim)  # >= 1, as w^2 < lim
-    kept = [r for r in roots if m <= 2 or 2 * r < m]
-    rw = np.multiply.outer(kept, w)
+    rw = np.multiply.outer(g.kept, w)
     t = (rw + Y3) // m if m > 2 else (rw - 1) // m
     start = rw - t * m  # the least y3 >= low = -Y3 (1 if m <= 2) with y3 = rho w (mod m)
     K = (Y3 - start) // m + 1  # >= 0, as start < low + m
-    return rows, y0, w, kept, t, start, K
+    return rows, y0, w, t, start, K
 
 
-def _cell_blocks(B: int, v1: int, v2: int, y1: int, y2: int, m: int, roots):
-    """Every candidate (y0, y3) of the cell (v1, v2, y1, y2), in blocks.
+def _cell_blocks(B: int, g: _Group, y2s):
+    """Every candidate (y0, y3) of the cells (v1, v2, y1, y2), y2 in ``y2s``,
+    of the group g, by cell and in blocks of whole rows (``_runs``).
 
-    Yields arrays (y0, y3, ok) over the progressions of ``_progressions``,
+    Yields (y2, y0, y3, y4, ok) over the progressions of ``_progressions``,
     ordered by y0 and then by root, with y3 = |start + k m|, so that a
     progression over -Y3 <= y3 <= Y3 gives the y3 of both roots of its
-    pair; ok marks the candidates with gcd(y3, y1 y2) = gcd(y4, v1 v2 y2) = 1,
-    where y4 = (w^2 + y3^2) / m.  A block holds whole rows: at most _BLOCK
-    candidates plus one row.  This is the enumeration kernel, and the
-    counting kernel's oracle.
+    pair, and y4 = (w^2 + y3^2) / m; ok marks the candidates with
+    gcd(y3, y1 y2) = gcd(y4, v1 v2 y2) = 1.  This is the enumeration kernel,
+    and the counting kernel's oracle: it tests y4 itself, without ``_y4_classes``.
 
     The masks need only rad(y2) and rad(v1 v2).  y3 is a unit mod y1, as
     rho, y0 and y2 are.  A prime of y2 dividing y4 would divide
     y3^2 = m y4 - w^2, so gcd(y3, y2) = 1 already gives gcd(y4, y2) = 1.
-    Hence y4 is computed only when rad(v1 v2) > 1.
     """
-    _, y0, w, _, _, start, K = _progressions(B, factorize(v1 * v2 * y1), m, roots, [y2])
-    if not len(y0):
-        return
-    start, K = start.T, K.T  # one row per y0 row
-    c = w * w
-    T = K.sum(axis=1)
-    ends = np.cumsum(T)
-    bid = (ends - T) // _BLOCK
-    cuts = (np.flatnonzero(bid[1:] != bid[:-1]) + 1).tolist()
-    r3, mask3 = _coprime_mask(y2)
-    r4, mask4 = _coprime_mask(v1 * v2)
-    for a, b in zip([0, *cuts], [*cuts, len(y0)]):
-        k = K[a:b].ravel()
-        off = np.cumsum(k) - k
-        n = int(off[-1] + k[-1])
-        y3 = np.abs(np.repeat(start[a:b].ravel() - off * m, k) + np.arange(0, n * m, m))
-        ok = np.ones(n, dtype=bool)
-        if r3 > 1:
-            ok &= mask3[_mod(y3, r3)]
-        if r4 > 1:
-            y4 = (np.repeat(c[a:b], T[a:b]) + y3 * y3) // m
-            ok &= mask4[_mod(y4, r4)]
-        yield np.repeat(y0[a:b], T[a:b]), y3, ok
+    m, (r4, mask4) = g.m, _coprime_mask(g.classed)
+    for y2 in y2s:
+        _, y0, w, _, start, K = _progressions(B, g, [y2])
+        if not len(y0):
+            continue
+        start, K, T = start.T, K.T, K.sum(axis=0)  # one row per y0 row
+        r3, mask3 = _coprime_mask(factorize(y2))
+        for a, b in _runs(T):
+            k = K[a:b].ravel()
+            off = np.cumsum(k) - k
+            n = int(off[-1] + k[-1])
+            y3 = np.abs(np.repeat(start[a:b].ravel() - off * m, k) + np.arange(0, n * m, m))
+            y4 = (np.repeat(w[a:b] * w[a:b], T[a:b]) + y3 * y3) // m
+            yield y2, np.repeat(y0[a:b], T[a:b]), y3, y4, mask3[_mod(y3, r3)] & mask4[_mod(y4, r4)]
 
 
 @lru_cache(maxsize=None)
 def _inverses(p: int) -> np.ndarray:
-    """inv[a] = a^-1 mod the prime p, and inv[0] = 0."""
+    """inv[a] = a^-1 mod the prime p, and inv[0] = 0.  Unbounded, but only
+    primes of v1 v2 reach it: 15 in a count at 10^7, 29 (up to 281) at 10^8."""
     return np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
 
 
@@ -351,27 +366,16 @@ def _cell_weights(n: int) -> tuple[list, list]:
     return np.cumsum(np.diff(first) / root).tolist(), np.cumsum((j > 0) / root).tolist()
 
 
-def _class_count(p: int, m: int) -> int:
-    """The number of classes of k that a prime p of v1 v2 excludes (``_y4_classes``)."""
-    if p % 4 == 3 or p == 2 and m % 2 == 0:
-        return 0
-    return 1 if m % p == 0 or p == 2 else 2
-
-
-def _y4_classes(primes, m: int, y2s, kept, t, w):
+def _y4_classes(g: _Group) -> list:
     """The classes of k that gcd(y4, v1 v2) = 1 excludes from the
-    progressions of ``_progressions``, as [(p, E, alive), ...], where
-    ``primes`` are the primes of v1 v2, ``kept`` the kept roots, w the rows
-    and t the t of the progressions, a row per kept root and a column per row.
+    progressions of the group g, as [(p, a, b), ...] over the primes p of
+    v1 v2 that have any: each class is k = t + a + b w (mod p), and a and b,
+    (classes of p, kept roots, 1) arrays, depend only on p, m and the root.
 
     As y3 = rho w + (k - t) m, y4(k) = w^2 (1 + rho^2)/m + 2 rho w (k - t)
-    + m (k - t)^2, and every class is k = t + a + b w (mod p), with integers
-    a, b of the class and the root.  E[i] holds the i-th class of each
-    progression, in the shape of t; alive, built only where p divides some
-    y2 in ``y2s`` (None otherwise), marks the cells where the classes of p
-    apply.
-    p | y4 reads p | w^2 + y3^2 where p does not divide m:
-      - p | y2: nothing, as gcd(y3, y2) = 1 already keeps p from y4;
+    + m (k - t)^2, and p | y4 reads p | w^2 + y3^2 where p does not divide m:
+      - p | y2: nothing, as gcd(y3, y2) = 1 already keeps p from y4
+        (so the classes apply only to the cells whose y2 p does not divide);
       - p = 3 (mod 4), p not dividing m: nothing, as p would divide w;
       - p = 1 (mod 4), p not dividing m: y3 = +-i w with i^2 = -1 (mod p),
         so (a, b) = (0, (+-i - rho) / m mod p);
@@ -383,21 +387,26 @@ def _y4_classes(primes, m: int, y2s, kept, t, w):
     Every prime of m is 2 or 1 mod 4, as -1 is a square mod m, and divides
     no y2, as gcd(y2, v2 y1) = 1.  At t = 0 the classes are anchored at y3 = rho w.
     """
-    out = []
-    for p in primes:
-        if not _class_count(p, m):
+    m, out = g.m, []
+    for p in g.classed:
+        if p % 4 == 3 or p == 2 and m % 2 == 0:
             continue
-        alive = None if all(y2 % p for y2 in y2s) else np.array(y2s) % p != 0
         if m % p == 0:
-            ab = [[(0, -((1 + r * r) // m) * pow(2 * r, -1, p) % p) for r in kept]]
+            ab = [[(0, -((1 + r * r) // m) * pow(2 * r, -1, p) % p) for r in g.kept]]
         elif p == 2:
-            ab = [[(1, r % 2) for r in kept]]
+            ab = [[(1, r % 2) for r in g.kept]]
         else:
             i, u = _tonelli_sqrt_minus_one(p), pow(m, -1, p)
-            ab = [[(0, (e - r) * u % p) for r in kept] for e in (i, p - i)]
-        a, b = np.array(ab).transpose(2, 0, 1)[..., None]  # (classes, roots, 1) each
-        out.append((p, _mod(a + b * w + t, p), alive))
+            ab = [[(0, (e - r) * u % p) for r in g.kept] for e in (i, p - i)]
+        out.append((p, *np.array(ab).transpose(2, 0, 1)[..., None]))
     return out
+
+
+def _slice_classes(classes, y2s, t, w) -> list:
+    """``_y4_classes`` on the progressions (t, w) of the cells ``y2s``: [(p, E, alive), ...],
+    E[i] the i-th class of p on each, shaped as t; alive marks the y2 prime to p (None: all)."""
+    return [(p, _mod(a + b * w + t, p), None if all(y2 % p for y2 in y2s) else
+             np.array(y2s) % p != 0) for p, a, b in classes]
 
 
 def _merge(p: int, E, C, Q, u):
@@ -407,43 +416,37 @@ def _merge(p: int, E, C, Q, u):
     return C + Q * _mod((E[:, None] + p - _mod(C, p)) * u, p)
 
 
-def _cell_slices(B: int, primes, classed, m: int, roots, y2s) -> list:
+def _cell_slices(B: int, g: _Group, classes, y2s) -> list:
     """``y2s`` cut into consecutive slices of at most _BLOCK terms of
-    ``_slice_counts`` plus one cell's, counted before any is built, so that
-    its memory stays bounded whatever B.  A cell with R rows has
-    R (L 2^omega(y2) - 1) terms per kept root: one per choice of classes of
-    the primes of v1 v2 (``classed``; L choices) and squarefree d | y2, less
-    the one added as the sum of K.  As R < (B m)^(1/4) / sqrt(y2), the sums
-    of ``_cell_weights`` bound a group's terms at once, and only past _BLOCK
-    are its rows counted: at 10^8 in 444 of the 3,314 groups, 183 of which
-    are cut, the first, (1, 1, 1), in 5; at 10^7 only the first, in 2."""
+    ``_slice_counts`` plus one cell's (``_runs``), counted before any is
+    built, so that its memory stays bounded whatever B.  A cell with R rows
+    has R (L 2^omega(y2) - 1) terms per kept root: one per choice of the
+    ``classes`` of the primes of v1 v2 (L choices) and squarefree d | y2,
+    less the one added as the sum of K.  As R < (B m)^(1/4) / sqrt(y2), the
+    sums of ``_cell_weights`` bound a group's terms at once, and only past
+    _BLOCK are its rows counted: at 10^8 in 444 of the 3,314 groups, 183 of
+    which are cut, the first, (1, 1, 1), in 5; at 10^7 only the first, in 2."""
     if len(y2s) == 1:
         return [y2s]
-    kept = len(roots) if m <= 2 else len(roots) // 2
-    L = prod(1 + _class_count(p, m) for p in classed)
+    kept, L = len(g.kept), prod(1 + len(a) for _, a, _ in classes)
     sqfree, ones = _cell_weights(isqrt(B))
     lo, hi = y2s[0] - 1, y2s[-1]
-    if kept * (B * m) ** 0.25 * (L * (sqfree[hi] - sqfree[lo]) - ones[hi] + ones[lo]) <= _BLOCK:
+    if kept * (B * g.m) ** 0.25 * (L * (sqfree[hi] - sqfree[lo]) - ones[hi] + ones[lo]) <= _BLOCK:
         return [y2s]
-    first = _divisor_table(isqrt(B))[0]
-    y2 = np.array(y2s)
-    T = kept * _rows(B, primes, m, y2)[1] * (L * (first[y2 + 1] - first[y2]) - 1)
-    bid = (np.cumsum(T) - T) // _BLOCK
-    cuts = (np.flatnonzero(bid[1:] != bid[:-1]) + 1).tolist()
-    return [y2s[a:b] for a, b in zip([0, *cuts], [*cuts, len(y2s)])]
+    first, y2 = _divisor_table(isqrt(B))[0], np.array(y2s)
+    T = kept * _rows(B, g.primes, g.m, y2)[1] * (L * (first[y2 + 1] - first[y2]) - 1)
+    return [y2s[a:b] for a, b in _runs(T)]
 
 
-def _cell_counts(B: int, v1: int, v2: int, y1: int, m: int, roots, y2s) -> int:
-    """The number of points in the cells (v1, v2, y1, y2), y2 in ``y2s``,
-    counted by ``_slice_counts`` in the slices of ``_cell_slices``."""
-    primes = list(factorize(v1 * v2 * y1))
-    classed = [p for p in primes if v1 * v2 % p == 0]
-    return sum(_slice_counts(B, primes, classed, m, roots, part)
-               for part in _cell_slices(B, primes, classed, m, roots, y2s))
+def _cell_counts(B: int, g: _Group, y2s) -> int:
+    """The number of points in the cells of the group g, y2 in ``y2s``, slice by slice."""
+    classes = _y4_classes(g)
+    return sum(_slice_counts(B, g, classes, part) for part in _cell_slices(B, g, classes, y2s))
 
 
-def _slice_counts(B: int, primes, classed, m: int, roots, y2s) -> int:
-    """The number of points in the cells (v1, v2, y1, y2), y2 in ``y2s``, together.
+def _slice_counts(B: int, g: _Group, classes, y2s) -> int:
+    """The number of points in the cells (v1, v2, y1, y2) of the group g, y2
+    in ``y2s``, together, where ``classes`` are the group's ``_y4_classes``.
 
     Counts the k in [0, K) of every progression y3 = s + k m of
     ``_progressions`` by inclusion-exclusion over classes of k, all cells in
@@ -452,7 +455,7 @@ def _slice_counts(B: int, primes, classed, m: int, roots, y2s) -> int:
     gcd(y3, y2) = 1 is a Mobius sum over the squarefree d | y2 of
     ``_divisor_table``: d | y3 iff k = t (mod d), where t = (rho w - s) / m
     >= 0, as s <= rho w is the least y3 = rho w (mod m) in the range.  Each
-    term then takes at most one class of ``_y4_classes`` per prime, merged
+    term then takes at most one class per prime (``_slice_classes``), merged
     by CRT into one class k = c (mod Q), which holds (K - c + Q - 1) // Q of
     the k.  The term of d = 1 with no class holds all K of the k, so it is
     added as the sum of K and never built.  The terms form one row per
@@ -461,12 +464,12 @@ def _slice_counts(B: int, primes, classed, m: int, roots, y2s) -> int:
     of d = 1 (c = e, Q = q) have one entry per progression; those of d > 1
     (Q = d q) run by root, then by cell, then by d, then by y0 row.
     """
-    rows, _, w, kept, t, _, K = _progressions(B, primes, m, roots, y2s)
+    rows, _, w, t, _, K = _progressions(B, g, y2s)
     total = int(K.sum())
-    classes = _y4_classes(classed, m, y2s, kept, t, w)
     some_d = y2s[-1] > 1  # a divisor d > 1 of some y2, as y2s ascend
     if not (classes or some_d):
         return total
+    classes = _slice_classes(classes, y2s, t, w)
     Km1 = K - 1
     if some_d:
         # y3 = rho w + (k - t) m = (k - t) m (mod w), so d | y3 iff k = t (mod d), as d | w
@@ -495,7 +498,7 @@ def _slice_counts(B: int, primes, classed, m: int, roots, y2s) -> int:
             M = _merge(p, E, C1, np.array(qs[1:])[:, None, None], u)
             C1 = np.concatenate([C1, np.concatenate([E[:, None], M], 1).reshape(-1, *E.shape[1:])])
         qs += [q * p for _ in E for q in qs]
-        signs += [-g for _ in E for g in signs]
+        signs += [-s for _ in E for s in signs]
     # the weights of the rows: their signs, where each prime p | q applies its classes
     q, wt = np.array(qs)[:, None, None], np.array(signs)[:, None, None]
     if alive := [(p, a) for p, _, a in classes if a is not None]:  # so some y2 > 1: some_d
@@ -512,9 +515,9 @@ def _slice_counts(B: int, primes, classed, m: int, roots, y2s) -> int:
 def _count_groups(B: int, groups) -> int:
     """Number of points of the cells of the given groups of ``_groups``.  The
     roots of -1 are found once per modulus m = v2 y1^2, which recurs for
-    every v1."""
+    every v1, and each group is prepared once for all its cells."""
     roots = {m: sqrts_minus_one(m) for m in dict.fromkeys(g[3] for g in groups)}
-    return sum(_cell_counts(B, v1, v2, y1, m, roots[m], _y2s(v2 * y1, y2_cap))
+    return sum(_cell_counts(B, _prepare(v1, v2, y1, m, roots[m]), _y2s(v2 * y1, y2_cap))
                for v1, v2, y1, m, y2_cap in groups)
 
 
@@ -621,16 +624,12 @@ def iter_torsor_points(B: int) -> Iterator[TorsorPoint]:
     if B > TORSOR_CAP:
         raise SizeCapError(f"enumeration is capped at B = {TORSOR_CAP}")
     for v1, v2, y1, m, y2_cap in _groups(B):
-        roots = sqrts_minus_one(m)
-        for y2 in _y2s(v2 * y1, y2_cap):
-            for y0, y3, ok in _cell_blocks(B, v1, v2, y1, y2, m, roots):
-                order = np.lexsort((y3, y0))
-                order = order[ok[order]]
-                y0, y3 = y0[order], y3[order]
-                w = y0 * y0 * y2
-                y4 = (w * w + y3 * y3) // m
-                for a, b, d in zip(y0.tolist(), y3.tolist(), y4.tolist()):
-                    yield TorsorPoint(v1, v2, a, y1, y2, b, d)
+        g = _prepare(v1, v2, y1, m, sqrts_minus_one(m))
+        for y2, y0, y3, y4, ok in _cell_blocks(B, g, _y2s(v2 * y1, y2_cap)):
+            order = np.lexsort((y3, y0))
+            order = order[ok[order]]
+            for a, b, d in zip(y0[order].tolist(), y3[order].tolist(), y4[order].tolist()):
+                yield TorsorPoint(v1, v2, a, y1, y2, b, d)
 
 
 def main_term_partial_sum(bound: int) -> float:

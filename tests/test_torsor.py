@@ -39,6 +39,37 @@ class TestValidate:
         assert exc.value.failures == ["equation"]
         assert time.perf_counter() - t0 < 1
 
+    def test_equation_failure_with_an_unproven_prime_v2(self):
+        # 10^30 + 57 lies past the primality proof limit, so whether it is
+        # squarefree is undecided; the equation fails all the same
+        t0 = time.perf_counter()
+        with pytest.raises(TorsorValidationError) as exc:
+            T.validate((1, 10**30 + 57, 1, 1, 1, 1, 1))
+        assert exc.value.failures == ["equation"]
+        assert time.perf_counter() - t0 < 1
+
+    def test_equation_failure_with_an_unsplit_v2(self, monkeypatch):
+        # with rho's step limit low, v2 = p q cannot be factored
+        monkeypatch.setattr(A, "_RHO_STEPS", 10)
+        p, q = 4294967311, 4294967357  # the first two primes past 2^32
+        t0 = time.perf_counter()
+        with pytest.raises(SizeCapError):
+            A.factorize(p * q)
+        with pytest.raises(TorsorValidationError) as exc:
+            T.validate((1, p * q, 1, 1, 1, 1, 1))
+        assert exc.value.failures == ["equation"]
+        assert time.perf_counter() - t0 < 1
+
+    def test_undecided_squarefree_raises_the_cap(self):
+        # every other condition holds: y0 = y1 = y2 = 1 and
+        # v2 y4 = y3^2 + 1 with y3 a root of -1 mod the prime v2, so y4 < v2
+        v2 = 10**30 + 57
+        y3 = next(r for c in range(2, 100) if (r := pow(c, (v2 - 1) // 4, v2)) ** 2 % v2 == v2 - 1)
+        y4, rem = divmod(y3 * y3 + 1, v2)
+        assert rem == 0 and 1 <= y4 < v2
+        with pytest.raises(SizeCapError):
+            T.validate((1, v2, 1, 1, 1, y3, y4))
+
     def test_coprimality_failure_named(self):
         # y0 = y1 = 2 shares a factor; adjust y4 so the equation holds:
         # y0^4 y2^2 + y3^2 = 16 + 9 = 25 is not divisible by v2 y1^2 = 4 -> pick
@@ -136,6 +167,32 @@ class TestCounting:
 
     def test_golden_count_parallel_1e8(self):
         assert T.count_torsor(10**8, workers=2) == 1070253416
+
+    def test_enumeration_factors_once_per_group(self, monkeypatch):
+        """At 10^4 the enumeration factors v1 v2 y1 once per group (47) and
+        y2 once per cell with rows (257 of the 258; (1, 1, 1, 100) has none):
+        304 calls, in the order of the walk, not three per cell."""
+        calls = []
+        factorize = T.factorize
+        monkeypatch.setattr(T, "factorize", lambda n: calls.append(n) or factorize(n))
+        B = 10**4
+        assert len(list(T.iter_torsor_points(B))) == 33754
+        want, cells = [], 0
+        for v1, v2, y1, m, y2_cap in T._groups(B):
+            y2s = T._y2s(v2 * y1, y2_cap)
+            want += [v1 * v2 * y1] + [y2 for y2 in y2s if y2 * y2 < B * m]  # y0 = 1 is a row
+            cells += len(y2s)
+        assert calls == want
+        assert (cells, len(calls)) == (258, 304)
+
+    def test_enumeration_without_the_classes(self, monkeypatch):
+        """The enumeration kernel, the counter's oracle, never uses the y4
+        classes it checks."""
+        def no_classes(g):
+            raise AssertionError("the enumeration used the y4 classes")
+
+        monkeypatch.setattr(T, "_y4_classes", no_classes)
+        assert len(list(T.iter_torsor_points(3 * 10**4))) == 122189
 
     def test_enumeration_streams(self):
         # the whole enumeration at 1e8 would be about 1.07e9 points
@@ -307,8 +364,7 @@ class TestPairing:
             lim = B * m
             y0s = [a for a in range(1, isqrt(lim) + 1)
                    if (a * a * y2) ** 2 < lim and gcd(a, v1 * v2 * y1) == 1]
-            rows, y0, _, _, _, start, K = T._progressions(B, factorize(v1 * v2 * y1), m, roots,
-                                                          [y2])
+            rows, y0, _, _, start, K = T._progressions(B, T._prepare(v1, v2, y1, m, roots), [y2])
             assert rows.tolist() == [len(y0s)] and y0.tolist() == y0s
             ms.add(min(m, 3))
             for a, starts, ks in zip(y0s, start.T.tolist(), K.T.tolist()):
@@ -401,7 +457,8 @@ class TestKernel:
         if rows is not None:
             y0s = y0s[:rows] + y0s[-rows:]
         got = []
-        for y0, y3, ok in T._cell_blocks(B, v1, v2, y1, y2, m, tuple(sqrts_minus_one(m))):
+        g = T._prepare(v1, v2, y1, m, sqrts_minus_one(m))
+        for _, y0, y3, _, ok in T._cell_blocks(B, g, [y2]):
             keep = ok & np.isin(y0, y0s)
             got += zip(y0[keep].tolist(), y3[keep].tolist())
         assert sorted(got) == scalar_points(B, v1, v2, y1, y2, y0s)
@@ -422,8 +479,10 @@ class TestKernel:
 def oracle_counts(B, v1, v2, y1, m, roots, y2s):
     """The points of each cell (v1, v2, y1, y2), y2 in ``y2s``, counted as
     sum(ok) of the enumeration kernel."""
-    return [sum(int(np.count_nonzero(ok)) for *_, ok in T._cell_blocks(B, v1, v2, y1, y2, m, roots))
-            for y2 in y2s]
+    counts = Counter()
+    for y2, *_, ok in T._cell_blocks(B, T._prepare(v1, v2, y1, m, roots), y2s):
+        counts[y2] += int(np.count_nonzero(ok))
+    return [counts[y2] for y2 in y2s]
 
 
 def _primes(n):
@@ -472,10 +531,10 @@ def check_y4_classes(B, v1, v2, y1, y2s):
     the k in one of the classes of p (none, for a prime with no class).
     Returns the number of (prime, root, row) checked."""
     m = v2 * y1 * y1
-    primes = factorize(v1 * v2 * y1)
-    rows, _, w, kept, t, start, K = T._progressions(B, primes, m, sqrts_minus_one(m), y2s)
-    classes = {p: (E, alive) for p, E, alive in
-               T._y4_classes([p for p in primes if v1 * v2 % p == 0], m, y2s, kept, t, w)}
+    g = T._prepare(v1, v2, y1, m, sqrts_minus_one(m))
+    rows, _, w, t, start, K = T._progressions(B, g, y2s)
+    kept = g.kept
+    classes = {p: (E, alive) for p, E, alive in T._slice_classes(T._y4_classes(g), y2s, t, w)}
     y2_of_row = np.repeat(y2s, rows).tolist()
     checked = 0
     for p in _primes(v1 * v2):
@@ -506,24 +565,30 @@ class TestFloorSums:
             roots = tuple(sqrts_minus_one(m))
             y2s = T._y2s(v2 * y1, y2_cap)
             want = oracle_counts(B, v1, v2, y1, m, roots, y2s)
-            got = [T._cell_counts(B, v1, v2, y1, m, roots, [y2]) for y2 in y2s]
+            g = T._prepare(v1, v2, y1, m, roots)
+            got = [T._cell_counts(B, g, [y2]) for y2 in y2s]
             assert got == want, (v1, v2, y1)
-            assert T._cell_counts(B, v1, v2, y1, m, roots, y2s) == sum(want), (v1, v2, y1)
+            assert T._cell_counts(B, g, y2s) == sum(want), (v1, v2, y1)
 
     def test_groups_in_slices_at_1e5(self, monkeypatch):
         """With slices of at most 64 terms plus one cell's, 34 groups are
-        cut, and the counts stay exact."""
+        cut, and the counts stay exact.  The classes of a group are found
+        once, however many slices it has."""
         monkeypatch.setattr(T, "_BLOCK", 64)
-        B, cut = 10**5, 0
+        B, cut, groups = 10**5, 0, []
         for v1, v2, y1, m, y2_cap in T._groups(B):
-            primes = list(factorize(v1 * v2 * y1))
-            classed = [p for p in primes if v1 * v2 % p == 0]
+            g = T._prepare(v1, v2, y1, m, sqrts_minus_one(m))
+            groups.append(g)
             y2s = T._y2s(v2 * y1, y2_cap)
-            parts = T._cell_slices(B, primes, classed, m, tuple(sqrts_minus_one(m)), y2s)
+            parts = T._cell_slices(B, g, T._y4_classes(g), y2s)
             assert [y2 for part in parts for y2 in part] == y2s and all(parts)
             cut += len(parts) > 1
         assert cut >= 30
-        assert T.count_torsor(B, workers=1) == T.count_torsor(B, workers=2) == 479470
+        seen, y4_classes = [], T._y4_classes
+        monkeypatch.setattr(T, "_y4_classes", lambda g: seen.append(g) or y4_classes(g))
+        assert T.count_torsor(B, workers=1) == 479470
+        assert seen == groups  # one call per group, in the order of the walk
+        assert T.count_torsor(B, workers=2) == 479470
 
     def test_first_group_memory_is_bounded(self):
         """The first group at 10^8, (1, 1, 1) with 10^4 cells, peaked at
@@ -536,7 +601,7 @@ class TestFloorSums:
         T._cell_weights(isqrt(B))  # the tables, as count_torsor builds them first
         tracemalloc.start()
         try:
-            n = T._cell_counts(B, v1, v2, y1, m, roots, y2s)
+            n = T._cell_counts(B, T._prepare(v1, v2, y1, m, roots), y2s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -551,7 +616,8 @@ class TestFloorSums:
             if T._y2s(v2 * y1, y2_cap) == [1]:
                 roots = tuple(sqrts_minus_one(m))
                 want = oracle_counts(B, v1, v2, y1, m, roots, [1])
-                assert [T._cell_counts(B, v1, v2, y1, m, roots, [1])] == want, (v1, v2, y1)
+                got = T._cell_counts(B, T._prepare(v1, v2, y1, m, roots), [1])
+                assert [got] == want, (v1, v2, y1)
                 n += 1
         assert n == 203
 
@@ -578,7 +644,7 @@ class TestFloorSums:
         want = self.check_at_cap(v1, v2, y1, y2s)
         # the same cells in one pass give their total
         B, m = T.TORSOR_CAP, v2 * y1 * y1
-        assert T._cell_counts(B, v1, v2, y1, m, tuple(sqrts_minus_one(m)), y2s) == sum(want)
+        assert T._cell_counts(B, T._prepare(v1, v2, y1, m, sqrts_minus_one(m)), y2s) == sum(want)
 
     def test_y4_classes_every_group_at_1e4(self):
         B = 10**4
@@ -597,5 +663,6 @@ class TestFloorSums:
         B, m = T.TORSOR_CAP, v2 * y1 * y1
         roots = tuple(sqrts_minus_one(m))
         want = oracle_counts(B, v1, v2, y1, m, roots, y2s)
-        assert [T._cell_counts(B, v1, v2, y1, m, roots, [y2]) for y2 in y2s] == want
+        g = T._prepare(v1, v2, y1, m, roots)
+        assert [T._cell_counts(B, g, [y2]) for y2 in y2s] == want
         return want
